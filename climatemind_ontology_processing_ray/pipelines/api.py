@@ -130,17 +130,16 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
     existing canonical edge table (support counts add, source sets union).
 
     Because canonicalization is a sum/union aggregation, processing a corpus
-    in k batches and merging equals processing it at once (tested).  One
-    ADAPTIVE coarse-partition exchange (stages/canonicalize.py:
-    merge_edge_tables) — per-partition frames stay bounded at any number
-    of distinct triples, unlike a one-Ray-group-per-key groupby (which
-    is fine at ontology scale but not for web-scale incremental merges).
+    in k batches and merging equals processing it at once (tested).  The
+    merge is the canonicalization exchange itself
+    (stages/canonicalize.py: canonicalize_partials): canonical rows are
+    partials with one row per key.
     """
-    from ..stages.canonicalize import TRIPLE_KEY, merge_edge_tables
+    from ..stages.canonicalize import TRIPLE_KEY, canonicalize_partials
 
     cols = TRIPLE_KEY + ["support", "sources"]
     unioned = existing.select_columns(cols).union(new.select_columns(cols))
-    return merge_edge_tables(unioned, sources_cap)
+    return canonicalize_partials(unioned, sources_cap)
 
 
 def process_pages(

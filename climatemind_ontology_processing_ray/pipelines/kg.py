@@ -6,7 +6,8 @@
       -> lang filter                        vectorized pyarrow predicate
       -> map_batches(TripleExtractor)       actor pool (automaton state)
       -> map_batches(EntityLinker)          actor pool (broadcast index)
-      -> canonicalize_triples               two-phase salted groupby shuffle
+      -> canonicalize_triples               map-side + fan-in combines, then
+                                            ONE groupby exchange
       -> (optional) adjacency materialize + parquet sinks
       -> driver-side graph enrichment       ontology-sized (SURVEY §7.0 (c))
 
@@ -137,7 +138,7 @@ def run_kg_pipeline(
             # block(s) under streaming.  Two corpora that share schema,
             # metadata row estimate AND their first 64 (url, text-digest)
             # rows are treated as the same corpus for resume purposes.
-            from ..functions.partitioning import estimate_rows
+            from ..stages.partitioning import estimate_rows
 
             sample = (
                 pages.select_columns(["url", "text"]).limit(64).take_all()

@@ -1,20 +1,34 @@
-"""Canonicalization shuffles (SURVEY §7.3; north_star "groupby-aggregate
+"""Canonicalization exchanges (SURVEY §7.3; north_star "groupby-aggregate
 shuffle on normalized surface-form keys with explicit salting for
 head-entity skew").
 
-Both canonicalizers follow the same two-phase salted pattern:
+Canonical edges come from ONE exchange keyed on (subject, object,
+predicate).  Head-entity skew is handled by combining before it, not by a
+salted second exchange:
 
-1. **map-side combine** — inside ``map_batches``, aggregate per batch so
-   each (key, salt) pair contributes at most one row per block to the
-   shuffle.  Head keys ("climate change" appears on >=20% of pages) shrink
-   from millions of rows to (#blocks x #salts) rows before any exchange.
-2. **salted groupby** — group on (key..., salt): a hot key's partials
-   spread over ``num_salts`` reducers instead of one.
-3. **final groupby** — group on the bare key over the tiny salted output.
+1. **map-side combine** (:func:`partial_triple_agg_arrow`, fused into the
+   front end) — one partial row per key per upstream batch.  A head key
+   ("climate change" appears on >=20% of pages) shrinks from one row per
+   occurrence to one row per batch.
+2. **fan-in combine** — one ``map_batches(batch_size=fanin_rows)`` merges
+   the partials again and tags each row with its hash partition
+   ``__part``.  Any key, however hot, enters the exchange as at most one
+   row per fan-in batch: its one reducer receives at most
+   ``ceil(partial rows / fanin_rows)`` rows for it when upstream blocks
+   pack evenly into batches, and each combine task adds at most one short
+   batch otherwise
+   (``tests/test_canonicalize.py::test_hot_key_reducer_rows_bounded``).
+3. **exchange** — ``groupby("__part").map_groups`` merges each partition
+   with the same Arrow kernel, :func:`_merge_arrow`.
 
-At 10^12-document scale phase 1 is the only heavy exchange and its
-per-reducer load is bounded by ``total_blocks / num_salts`` rows per hot
-key; phase 2's input is ontology-sized x num_salts.
+Every merge is associative (support is a sum; sources keep the
+``sources_cap`` smallest distinct urls, a top-k monoid), so the output rows
+do not depend on batch boundaries, fan-in size or partition count (their
+order does).  The
+partials still carry a ``salt`` column (a hash of the first source url);
+nothing in the exchange reads it.
+
+:func:`canonicalize_mentions` keeps a two-phase salted ``Sum`` aggregation.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
-from ..functions.partitioning import adaptive_parts
+from .partitioning import adaptive_parts
 
 TRIPLE_KEY = ["subject", "object", "predicate"]
 
@@ -49,13 +63,6 @@ def _salt_vec(values, num_salts: int) -> np.ndarray:
 
 def _salt_of(value: str, num_salts: int) -> int:
     return int(_salt_vec([value], num_salts)[0])
-
-
-def _part_vec(df: pd.DataFrame, cols: list[str], num_parts: int) -> np.ndarray:
-    """Vectorized partition id over multiple key columns (fixed-key row
-    hash, C-speed)."""
-    h = pd.util.hash_pandas_object(df[cols], index=False, categorize=False)
-    return (h.to_numpy() % np.uint64(num_parts)).astype(np.int32)
 
 
 def _topk_sources(
@@ -120,9 +127,8 @@ def _group_codes(col: pa.Array) -> np.ndarray:
 
 
 def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
-    """Arrow-native in-partition merge (support sum + sources top-k),
-    replacing the round-4 pandas `_merge_partition` on the hot exchange:
-    no Arrow->pandas->Arrow copies, no object-dtype strings.  Grouping =
+    """Arrow-native in-partition merge (support sum + sources top-k): no
+    Arrow->pandas->Arrow copies, no object-dtype strings.  Grouping =
     per-column dictionary codes + one numpy lexsort (pyarrow's hash
     aggregate has no list<string> gather kernel); support merges with an
     exact int64 reduceat; sources merge via the vectorized
@@ -194,10 +200,8 @@ def partial_triple_agg_arrow(
 ) -> pa.Table:
     """Arrow-native map-side combine: linked triple rows -> one partial
     row per (subject, object, predicate) per batch, salted by first
-    (ascending) source url.  Bit-identical semantics to the pandas
-    :func:`partial_triple_agg` (kept for the injectable/unfused surface);
-    this is the fused hot path's version — the extractor/linker hand over
-    Arrow, and the partial leaves as Arrow."""
+    (ascending) source url.  The extractor/linker hand over Arrow, and the
+    partial leaves as Arrow."""
     tbl = pa.table(
         {
             "subject": batch.column("subj_label"),
@@ -233,67 +237,43 @@ def partial_triple_agg_arrow(
     )
 
 
-def partial_triple_agg(
-    batch: pd.DataFrame, num_salts: int = 16, sources_cap: int = 8
-) -> pd.DataFrame:
-    """Map-side combine: linked triple rows -> one partial row per
-    (subject, object, predicate) per batch, salted by first source url."""
-    df = pd.DataFrame(
-        {
-            "subject": batch["subj_label"],
-            "object": batch["obj_label"],
-            "predicate": batch["predicate"],
-            "url": batch["url"],
-        }
-    )
-    grouped = df.groupby(TRIPLE_KEY, sort=False).agg(
-        support=("url", "size"),
-        sources=("url", lambda s: sorted(set(s))[:sources_cap]),
-    )
-    out = grouped.reset_index()
-    first_url = [u[0] if u else s for s, u in zip(out["subject"], out["sources"])]
-    out["salt"] = _salt_vec(first_url, num_salts)
-    return out
-
-
-_NUM_PARTS = 64  # legacy fallback (adaptive_parts sizes real exchanges)
-
-
-def _merge_partition(g: pd.DataFrame, keys: list[str], sources_cap: int) -> pd.DataFrame:
-    """Vectorized in-partition merge: ONE pandas groupby per partition
-    instead of one Ray group per key (each Ray group costs ~0.25 ms of
-    scheduling; with noisy web extraction the distinct pre-link triple
-    count is large — the coarse-partition pattern from exact_dedup)."""
-
-    def merge_sources(series) -> list[str]:
-        urls: set[str] = set()
-        for lst in series:
-            urls.update(lst)
-        return sorted(urls)[:sources_cap]
-
-    out = (
-        g.groupby(keys, sort=False)
-        .agg(support=("support", "sum"), sources=("sources", merge_sources))
-        .reset_index()
-    )
-    out["support"] = out["support"].astype("int64")
-    return out
-
-
-# streaming fan-in combine: bundle many small partial blocks into one
-# merge task (ray bundles input blocks up to batch_size rows), so the
-# sort-based groupby that follows sees FEW large blocks instead of one
-# tiny block per upstream task.  Merging is associative (support sum;
-# sources = 8 lexicographically-smallest urls, a top-k monoid), so this
-# is a correctness-preserving tree-reduce level.  At bench scale it cuts
-# the two sorts from 96 blocks (384 sub-ms SortMap/SortReduce tasks +
-# barrier bookkeeping) to ~1-2 blocks; at web scale it is one extra
-# linear streaming pass that never hurts the shuffle that follows.
-# sized so several combine tasks stream DURING the extract stage instead
-# of one combine acting as a pseudo-barrier after it (measured: 65k rows
-# = 1 task waiting on ~all upstream blocks added ~1-2s of serial tail at
-# 16 cpus; 16k rows = ~4 overlapped tasks, sort still sees O(4) blocks)
+# fan-in batch size: Ray bundles upstream partial blocks until a combine
+# task holds this many rows, so the exchange sees FEW large blocks instead
+# of one tiny block per upstream task, and a hot key at most one row per
+# batch.  Sized so several combine tasks stream DURING the extract stage
+# instead of one combine acting as a pseudo-barrier after it (measured at
+# 16 cpus: 65k rows = 1 task waiting on ~all upstream blocks added ~1-2s
+# of serial tail; 16k rows = ~4 overlapped tasks).
 _FANIN_ROWS = 16_384
+
+
+def exchange_rows(
+    partials: Dataset,
+    sources_cap: int = 8,
+    fanin_rows: int = _FANIN_ROWS,
+    num_parts: int | None = None,
+) -> Dataset:
+    """The rows that enter the canonicalization exchange: partials merged
+    per ``fanin_rows``-row batch and tagged with their ``__part`` out of
+    ``num_parts`` (default: scaled to the input row estimate,
+    ``stages/partitioning.py``)."""
+    if num_parts is None:
+        num_parts = adaptive_parts(partials)
+
+    def combine_and_tag(b: pa.Table) -> pa.Table:
+        return _part_tag_arrow(
+            _merge_arrow(b, TRIPLE_KEY, sources_cap), TRIPLE_KEY, num_parts
+        )
+
+    # num_cpus=0.5 keeps this stage UNFUSED from the upstream heavy map
+    # (fusion would bundle the extractor's inputs up to fanin_rows pages
+    # per task, wrecking its task granularity)
+    return partials.map_batches(
+        combine_and_tag,
+        batch_format="pyarrow",
+        batch_size=fanin_rows,
+        num_cpus=0.5,
+    )
 
 
 def canonicalize_partials(
@@ -302,100 +282,19 @@ def canonicalize_partials(
     fanin_rows: int = _FANIN_ROWS,
     num_parts: int | None = None,
 ) -> Dataset:
-    """Shuffle phases over pre-combined partial rows: streaming fan-in
-    combine, salted coarse groupby, fan-in, then final coarse groupby
-    (each hot key spread across its salts first; per-key merging is
-    vectorized inside each partition).  Exchange fan-out scales with the
-    input row estimate (functions/partitioning.py).
+    """Partial (or already canonical) edge rows -> canonical edge table:
+    the fan-in combine of :func:`exchange_rows`, then one sort-based
+    ``groupby("__part")`` whose reducers merge with :func:`_merge_arrow`.
+    Arrow end to end; the output rows (not their order) never depend on
+    ``fanin_rows`` or ``num_parts``."""
 
-    Every stage here is Arrow end-to-end (``batch_format="pyarrow"``,
-    hash-tag appended as a column, one hash-aggregate merge per
-    partition) — the r4 verdict's last pandas hot path; the exchange now
-    carries Arrow string/list buffers instead of object-dtype frames."""
-    if num_parts is None:
-        num_parts = adaptive_parts(partials)
-
-    salted_key = TRIPLE_KEY + ["salt"]
-
-    def combine_salted(b: pa.Table) -> pa.Table:
-        return _merge_arrow(b, salted_key, sources_cap)
-
-    def combine_final(b: pa.Table) -> pa.Table:
-        return _merge_arrow(b, TRIPLE_KEY, sources_cap)
-
-    if fanin_rows:
-        # num_cpus=0.5 keeps this stage UNFUSED from the upstream heavy
-        # map (fusion would bundle the extractor's inputs up to
-        # fanin_rows pages per task, wrecking its task granularity);
-        # the merge itself is one light hash-aggregate over partial rows
-        partials = partials.map_batches(
-            combine_salted,
-            batch_format="pyarrow",
-            batch_size=fanin_rows,
-            num_cpus=0.5,
-        )
-
-    def tag_salted(b: pa.Table) -> pa.Table:
-        return _part_tag_arrow(b, salted_key, num_parts)
-
-    def merge_salted(g: pa.Table) -> pa.Table:
-        return _merge_arrow(g, salted_key, sources_cap)
-
-    def tag_final(b: pa.Table) -> pa.Table:
-        return _part_tag_arrow(b, TRIPLE_KEY, num_parts)
-
-    def merge_final(g: pa.Table) -> pa.Table:
+    def merge(g: pa.Table) -> pa.Table:
         return _merge_arrow(g, TRIPLE_KEY, sources_cap)
 
-    salted = (
-        partials.map_batches(tag_salted, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(merge_salted, batch_format="pyarrow")
-    )
-    if fanin_rows:
-        # cross-salt pre-merge (also associative) so the final sort sees
-        # ~distinct-key rows in O(1) blocks
-        salted = salted.map_batches(
-            combine_final, batch_format="pyarrow", batch_size=fanin_rows, num_cpus=0.5
-        )
     return (
-        salted.map_batches(tag_final, batch_format="pyarrow")
+        exchange_rows(partials, sources_cap, fanin_rows, num_parts)
         .groupby("__part")
-        .map_groups(merge_final, batch_format="pyarrow")
-    )
-
-
-def merge_edge_tables(
-    edges: Dataset,
-    sources_cap: int = 8,
-    fanin_rows: int = _FANIN_ROWS,
-    num_parts: int | None = None,
-) -> Dataset:
-    """Merge already-canonical edge tables (support sums, source sets
-    union-top-k) — the incremental-ingest exchange behind
-    ``pipelines/api.py:merge_canonical_edges``.  ONE adaptive
-    coarse-partition groupby (each side is canonical, so a key appears
-    at most once per input table — no skew, no salting needed), merged
-    with the same Arrow hash-aggregate as the main path; replaces the
-    one-Ray-group-per-distinct-triple ``groupby(TRIPLE_KEY).map_groups``
-    (r4 verdict item 3)."""
-    if num_parts is None:
-        num_parts = adaptive_parts(edges)
-
-    def combine(b: pa.Table) -> pa.Table:
-        return _merge_arrow(b, TRIPLE_KEY, sources_cap)
-
-    if fanin_rows:
-        edges = edges.map_batches(
-            combine, batch_format="pyarrow", batch_size=fanin_rows, num_cpus=0.5
-        )
-    return (
-        edges.map_batches(
-            lambda b: _part_tag_arrow(b, TRIPLE_KEY, num_parts),
-            batch_format="pyarrow",
-        )
-        .groupby("__part")
-        .map_groups(combine, batch_format="pyarrow")
+        .map_groups(merge, batch_format="pyarrow")
     )
 
 
@@ -471,9 +370,8 @@ def canonicalize_mentions(
     index_ref = ray.put(surface_index)
 
     def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.broadcast import cached_get
-
-        idx = cached_get(index_ref)
+        # one get per (few, post-exchange) block of an ontology-sized dict
+        idx = ray.get(index_ref)
         batch["node_label"] = [idx.get(s) for s in batch["surface_norm"]]
         return batch
 

@@ -5,13 +5,14 @@ The streaming executor pays a scheduling/queueing cost per operator
 boundary per block; at high block counts that overhead dominates the
 (cheap, vectorized) per-page work.  This stage composes the SAME
 component implementations (TripleExtractor, EntityLinker,
-partial_triple_agg) inside one ``__call__`` so the pipeline plan is
+partial_triple_agg_arrow) inside one ``__call__`` so the pipeline plan is
 
-    read -> [extract -> lang filter -> THIS] (one fused actor pool)
-         -> salted groupby -> final groupby
+    read -> [extract -> lang filter -> THIS] (one fused operator)
+         -> fan-in combine + tag -> one groupby exchange
 
-instead of seven operators.  The unfused stages remain available and
-independently invocable (KGConfig(fused=False)); outputs are identical.
+instead of one operator per component.  The unfused stages remain
+available and independently invocable (KGConfig(fused=False)); outputs
+are identical.
 """
 
 from __future__ import annotations
