@@ -96,14 +96,31 @@ def is_valid_url(url: str) -> bool:
     return isinstance(url, str) and bool(_URL_RE.match(url))
 
 
+def _induced_copy(graph: nx.DiGraph, nodes: Iterable[str]) -> nx.DiGraph:
+    """``graph.subgraph(nodes).copy()`` built in ``graph``'s node and edge
+    order.  networkx iterates a small induced view in the order of a set
+    of its nodes, which follows the hash seed, so the copy's node and
+    predecessor order (and its pickle bytes) would differ between
+    processes."""
+    keep = set(nodes)
+    out = graph.__class__()
+    out.graph.update(graph.graph)
+    out.add_nodes_from((n, d) for n, d in graph.nodes(data=True) if n in keep)
+    out.add_edges_from(
+        (u, v, d) for u, v, d in graph.edges(data=True) if u in keep and v in keep
+    )
+    return out
+
+
 def custom_bfs(
     graph: nx.DiGraph,
     start_node: str,
     direction: str = "forward",
     edge_type: str = CAUSES,
 ) -> nx.DiGraph:
-    """Typed-edge BFS returning the induced subgraph of reached nodes
-    (ontology_processing_utils.py:7-41 semantics, fresh implementation)."""
+    """Typed-edge BFS returning a copy of the induced subgraph of reached
+    nodes (ontology_processing_utils.py:7-41 semantics, fresh
+    implementation)."""
     reached: list[str] = [start_node]
     seen = {start_node}
     i = 0
@@ -120,7 +137,7 @@ def custom_bfs(
                 if v not in seen and (edge_type == "any" or t == edge_type):
                     seen.add(v)
                     reached.append(v)
-    return graph.subgraph(reached)
+    return _induced_copy(graph, reached)
 
 
 def _dedup_keep_first(items: Iterable) -> list:
@@ -435,14 +452,13 @@ def _get_subgraphs(
     if ROOT_NODE not in annotated:
         return {k: nx.DiGraph() for k in
                 ("upstream_mitigations", "downstream_adaptations", "upstream", "downstream")}
-    upstream = custom_bfs(annotated, ROOT_NODE, "reverse").copy()
-    sub_mitigation = annotated.subgraph(mitigation_solutions)
-    downstream_adaptations = custom_bfs(annotated, ROOT_NODE, edge_type="any").copy()
-    downstream = custom_bfs(annotated, ROOT_NODE, edge_type=CAUSES).copy()
-    sub_adaptations = annotated.subgraph(adaptation_nodes).copy()
-    upstream_mitigations = annotated.subgraph(
-        set(upstream.nodes) | set(sub_mitigation.nodes)
-    ).copy()  # union_subgraph semantics (ontology_processing_utils.py:44-59)
+    upstream = custom_bfs(annotated, ROOT_NODE, "reverse")
+    downstream_adaptations = custom_bfs(annotated, ROOT_NODE, edge_type="any")
+    downstream = custom_bfs(annotated, ROOT_NODE, edge_type=CAUSES)
+    sub_adaptations = _induced_copy(annotated, adaptation_nodes)
+    upstream_mitigations = _induced_copy(
+        annotated, set(upstream.nodes) | set(mitigation_solutions)
+    )  # union_subgraph semantics (ontology_processing_utils.py:44-59)
 
     out: dict[str, nx.DiGraph] = {
         "upstream_mitigations": upstream_mitigations,
@@ -465,7 +481,7 @@ def _get_subgraphs(
             reversed_g.remove_edge(a, b)
     for label in personal_values:
         if label in reversed_g:
-            out[label] = custom_bfs(reversed_g, label, "reverse", "any").copy()
+            out[label] = custom_bfs(reversed_g, label, "reverse", "any")
         else:
             out[label] = nx.DiGraph()
     return out

@@ -17,6 +17,8 @@ Neither calls ray.init(); the session belongs to the caller.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 from ray.data import Dataset
@@ -26,7 +28,7 @@ from ..graph.writers import write_all_artifacts
 from ..ontology.fixture import build_fixture_snapshot
 from ..ontology.schema import OntologySnapshot
 from ..stages.adjacency import build_adjacency
-from .kg import KGConfig, canonical_edges_to_artifacts, run_kg_pipeline
+from .kg import KGConfig, KGResult, canonical_edges_to_artifacts, run_kg_pipeline
 
 
 def _load_snapshot(snapshot: OntologySnapshot | str | None) -> OntologySnapshot:
@@ -142,6 +144,39 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
     return canonicalize_partials(unioned, sources_cap)
 
 
+# every name a publish owns under output_dir: a commit replaces each one,
+# and removes the ones its set lacks (e.g. mentions/ after emit_mentions)
+_OUTPUTS = (
+    "canonical_edges",
+    "adjacency",
+    "nodes",
+    "mentions",
+    "output.csv",
+    "Climate_Mind_DiGraph.gpickle",
+    "Climate_Mind_Digraph_Test_Ont.json",
+    "graphs_for_visualization.pickle",
+)
+
+
+def _publish_key(res: KGResult, emit_mentions: bool) -> str | None:
+    """What the published outputs depend on: the ``canonical_edges``
+    checkpoint (its run key, which folds in the corpus and ontology
+    fingerprints, and its file md5s), ``emit_mentions`` and the package
+    version.  ``None`` without a checkpoint."""
+    from .. import __version__
+
+    m = res.checkpoints.manifest("canonical_edges")
+    if m is None:
+        return None
+    payload = {
+        "edges_key": m["key"],
+        "edges_md5": sorted((f["path"], f["md5"]) for f in m["files"]),
+        "emit_mentions": emit_mentions,
+        "version": __version__,
+    }
+    return hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def process_pages(
     pages: Dataset,
     output_dir: str,
@@ -152,40 +187,63 @@ def process_pages(
     """Full lifecycle: front end -> adjacency partitions -> driver-side
     enrichment -> all reference output files under ``output_dir``.
     ``emit_mentions`` additionally materializes the mentions table
-    (SURVEY §1.3) as Parquet."""
-    import shutil
+    (SURVEY §1.3) as Parquet.
+
+    Publish is one checkpointed, kill-safe stage (``state/publish.py``).
+    Every output (``canonical_edges/``, ``adjacency/``, ``nodes/``, the
+    optional ``mentions/``, ``output.csv``, the two pickles and the JSON)
+    is written under ``<output_dir>/_publish.tmp/``, sealed by a
+    ``_PUBLISH.json`` written there last, then committed: the old
+    ``<output_dir>/_PUBLISH.json`` goes first, each staged entry replaces
+    its old one (an owned entry the new set lacks is removed), and the
+    manifest moves in last.  ``_PUBLISH.json`` holds the publish key (the
+    ``canonical_edges`` checkpoint's run key and file md5s,
+    ``emit_mentions`` and the package version), the returned ``paths``
+    relative to ``output_dir``, and each file's size and md5.
+
+    On start, a publish a kill interrupted is repaired: a sealed staging
+    directory is committed, any other is deleted.  With a checkpoint dir,
+    a run whose ``canonical_edges`` stage is a checkpoint hit and whose
+    ``_PUBLISH.json`` has the same key, with every listed file matching
+    its size and md5, runs no publish job: it rebuilds ``art`` on the
+    driver from the canonical-edge checkpoint and returns the published
+    paths.  Without a checkpoint dir every run publishes."""
+    import ray.data
+
+    from ..graph.tables import graph_to_datasets
+    from ..state import publish
 
     snap = _load_snapshot(snapshot)
     os.makedirs(output_dir, exist_ok=True)
+    publish.repair(output_dir)
     res = run_kg_pipeline(pages, snap, cfg)
-    # web-scale outputs: canonical edges + adjacency partitions (Parquet).
-    # Parquet dirs are cleared first: Ray's writer ADDS uniquely-named part
-    # files, so a rerun into a stale dir would otherwise duplicate rows.
-    edges_dir = os.path.join(output_dir, "canonical_edges")
-    adjacency_dir = os.path.join(output_dir, "adjacency")
-    for d in (edges_dir, adjacency_dir, os.path.join(output_dir, "nodes"),
-              os.path.join(output_dir, "mentions")):
-        shutil.rmtree(d, ignore_errors=True)
+    key = _publish_key(res, emit_mentions)
+    if key is not None and "canonical_edges" in res.checkpoints.hits:
+        manifest = publish.verify(output_dir, key)
+        if manifest is not None:
+            edges = res.checkpoints.read_table("canonical_edges")
+            return canonical_edges_to_artifacts(edges, snap), publish.resolve(
+                output_dir, manifest
+            )
+
+    staging = publish.staging_dir(output_dir)  # repair left none behind
+    os.makedirs(staging)
+    # web-scale outputs: canonical edges + adjacency partitions (Parquet)
+    edges_dir = os.path.join(staging, "canonical_edges")
+    adjacency_dir = os.path.join(staging, "adjacency")
     res.canonical_edges.write_parquet(edges_dir)
-
-    import ray.data
-
     canonical = ray.data.read_parquet(edges_dir)
     build_adjacency(canonical).write_parquet(adjacency_dir)
     # ontology-sized back end + reference file outputs
     art = canonical_edges_to_artifacts(canonical, snap)
-    paths = write_all_artifacts(art, output_dir)
+    paths = write_all_artifacts(art, staging)
     paths["canonical_edges"] = edges_dir
     paths["adjacency"] = adjacency_dir
     # graph tables in the data plane (nested Arrow schemas)
-    from ..graph.tables import graph_to_datasets
-
-    tables = graph_to_datasets(art)
-    nodes_dir = os.path.join(output_dir, "nodes")
-    tables["nodes"].write_parquet(nodes_dir)
-    paths["nodes"] = nodes_dir
+    paths["nodes"] = os.path.join(staging, "nodes")
+    graph_to_datasets(art)["nodes"].write_parquet(paths["nodes"])
     if emit_mentions:
-        mentions_dir = os.path.join(output_dir, "mentions")
-        extract_mentions(pages, snap, cfg).write_parquet(mentions_dir)
-        paths["mentions"] = mentions_dir
-    return art, paths
+        paths["mentions"] = os.path.join(staging, "mentions")
+        extract_mentions(pages, snap, cfg).write_parquet(paths["mentions"])
+    publish.seal(staging, key, paths, _OUTPUTS)
+    return art, publish.resolve(output_dir, publish.commit(output_dir))

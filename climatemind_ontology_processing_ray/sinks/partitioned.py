@@ -103,6 +103,41 @@ def write_range_partitioned(
     return manifest
 
 
+def _dir_rows(path: str) -> int:
+    """Rows over the Parquet files in ``path``; -1 if one is unreadable
+    (e.g. cut short by a kill)."""
+    import pyarrow.parquet as pq
+
+    try:
+        return sum(
+            pq.read_metadata(os.path.join(path, f)).num_rows
+            for f in os.listdir(path)
+            if f.endswith(".parquet")
+        )
+    except (OSError, ValueError):  # pyarrow.ArrowInvalid is a ValueError
+        return -1
+
+
+def _repair_partitions(out_dir: str, manifest: dict) -> None:
+    """Finish or undo a compaction swap a kill interrupted.  A missing
+    partition directory is replaced by its staged ``.compact.tmp`` when
+    that holds the manifest's row count (roll forward), else by its
+    ``.old`` copy; then stale ``.old`` / ``.compact.tmp`` dirs go."""
+    import shutil
+
+    for rid, meta in manifest["partitions"].items():
+        part_dir = os.path.join(out_dir, f"__range={rid}")
+        staging, old = part_dir + ".compact.tmp", part_dir + ".old"
+        if not os.path.isdir(part_dir):
+            if os.path.isdir(staging) and _dir_rows(staging) == int(meta["rows"]):
+                os.replace(staging, part_dir)
+            elif os.path.isdir(old):
+                os.replace(old, part_dir)
+        if os.path.isdir(part_dir):
+            shutil.rmtree(staging, ignore_errors=True)
+            shutil.rmtree(old, ignore_errors=True)
+
+
 def _covering_ranges(manifest: dict, lo, hi) -> list[str]:
     """Partition ids whose key range intersects [lo, hi] (inclusive)."""
     bounds = manifest["boundaries"]
@@ -126,6 +161,7 @@ def read_key_range(out_dir: str, lo, hi) -> Dataset:
 
     with open(os.path.join(out_dir, MANIFEST)) as f:
         manifest = json.load(f)
+    _repair_partitions(out_dir, manifest)
     dirs = [
         os.path.join(out_dir, f"__range={rid}")
         for rid in _covering_ranges(manifest, lo, hi)
@@ -168,19 +204,21 @@ def compact_partitions(
     partitions pays metadata + open() costs on every read).
 
     Per range: read the partition (parallel), coalesce to
-    ceil(rows / target) blocks, write to a staging dir and atomically
-    swap — a crash mid-compact leaves either the old or the new
-    complete layout, never a mix.  Row counts are re-verified against
-    the manifest before the swap (a mismatch aborts that range).
+    ceil(rows / target) blocks, write to a staging dir and swap it in
+    with two renames (old -> ``.old``, staged -> live).  Row counts are
+    re-verified against the manifest before the swap (a mismatch aborts
+    that range).  A kill between the renames leaves no live directory;
+    the next call (or read) repairs it first (``_repair_partitions``),
+    so a crash mid-compact leaves either the old or the new complete
+    layout, never a mix.
     Returns {range_id: {"files_before": n, "files_after": m}}."""
     import shutil
-
-    import pyarrow.parquet as pq
 
     import ray.data as rd
 
     with open(os.path.join(out_dir, MANIFEST)) as f:
         manifest = json.load(f)
+    _repair_partitions(out_dir, manifest)
     report: dict[str, dict] = {}
     for rid, meta in sorted(manifest["partitions"].items()):
         part_dir = os.path.join(out_dir, f"__range={rid}")
@@ -197,11 +235,7 @@ def compact_partitions(
         shutil.rmtree(staging, ignore_errors=True)
         ds = rd.read_parquet(part_dir).repartition(n_out)
         ds.write_parquet(staging)
-        got = sum(
-            pq.read_metadata(os.path.join(staging, f)).num_rows
-            for f in os.listdir(staging)
-            if f.endswith(".parquet")
-        )
+        got = _dir_rows(staging)
         if got != rows:
             shutil.rmtree(staging, ignore_errors=True)
             report[rid] = {

@@ -8,12 +8,21 @@ metrics so a killed run restarts from the last completed stage").
 Layout per stage::
 
     <root>/<stage>/part-*.parquet        (written to <stage>.tmp, then renamed)
-    <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows}], ...}
+    <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
 
 A stage whose manifest matches the run key is *not* recomputed — it is
 re-read with ``ray.data.read_parquet`` (hit counters exposed for tests).
 The atomic tmp-dir rename means a kill mid-write leaves no manifest and
 the stage re-runs cleanly.
+
+The last stage, publish (``pipelines/api.py:process_pages``), is keyed on
+the ``canonical_edges`` manifest (its run key, which folds in the corpus
+and ontology fingerprints, and its file md5s), ``emit_mentions`` and the
+package version.  Its outputs are staged and committed under one
+``<output_dir>/_PUBLISH.json`` (``state/publish.py``); a run whose
+``canonical_edges`` stage is a hit and whose published manifest has the
+same key and verifies file by file runs no publish job, and rebuilds the
+graph artifacts on the driver from ``read_table("canonical_edges")``.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import os
 import shutil
 from typing import Callable
 
+import pyarrow as pa
 import ray.data
 
 
@@ -107,6 +117,15 @@ class CheckpointManager:
             return None
         with open(manifest_path) as f:
             return json.load(f)
+
+    def read_table(self, stage: str) -> pa.Table:
+        """A completed stage's rows, read on the driver with pyarrow (no
+        Ray job): the files its manifest lists."""
+        import pyarrow.parquet as pq
+
+        stage_dir, _, _ = self._paths(stage)
+        files = [os.path.join(stage_dir, f["path"]) for f in self.manifest(stage)["files"]]
+        return pq.read_table(files)
 
     def lineage(self) -> "list[dict]":
         """Flat per-partition lineage/metrics table across all completed

@@ -193,3 +193,46 @@ def test_driver_contract_owns_no_ray_session():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"ray session calls inside the driver surface: {offenders}"
+
+
+_PICKLES_SCRIPT = """
+import os, random, sys
+import pyarrow as pa
+from climatemind_ontology_processing_ray.graph.writers import write_all_artifacts
+from climatemind_ontology_processing_ray.ontology import build_fixture_snapshot, golden_edge_set
+from climatemind_ontology_processing_ray.pipelines.kg import canonical_edges_to_artifacts
+
+snap = build_fixture_snapshot()
+edges = sorted(golden_edge_set(snap))
+random.Random(int(sys.argv[2])).shuffle(edges)
+table = pa.table({
+    "subject": [e[0] for e in edges],
+    "object": [e[1] for e in edges],
+    "predicate": [e[2] for e in edges],
+    "support": [1] * len(edges),
+})
+os.makedirs(sys.argv[1])
+write_all_artifacts(canonical_edges_to_artifacts(table, snap), sys.argv[1])
+"""
+
+
+def test_graph_pickles_are_byte_stable(tmp_path):
+    """Both graph pickles are a function of the edge set: the same edges
+    in two row orders, enriched in processes with different hash seeds,
+    give byte-identical ``Climate_Mind_DiGraph.gpickle`` and
+    ``graphs_for_visualization.pickle``."""
+    import subprocess
+    import sys
+
+    for run, (order_seed, hash_seed) in enumerate(((1, "1"), (2, "2"))):
+        r = subprocess.run(
+            [sys.executable, "-c", _PICKLES_SCRIPT, str(tmp_path / f"run{run}"), str(order_seed)],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert r.returncode == 0, r.stderr
+    for name in ("Climate_Mind_DiGraph.gpickle", "graphs_for_visualization.pickle"):
+        with open(tmp_path / "run0" / name, "rb") as a, open(tmp_path / "run1" / name, "rb") as b:
+            assert a.read() == b.read()

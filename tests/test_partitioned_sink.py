@@ -4,6 +4,7 @@ import json
 import os
 
 import pandas as pd
+import pytest
 
 import ray.data as rd
 
@@ -16,6 +17,10 @@ from climatemind_ontology_processing_ray.sinks.partitioned import (
     MANIFEST,
     _covering_ranges,
 )
+
+
+class Killed(Exception):
+    """Stands in for a process kill at an injected point."""
 
 
 def _store(tmp_path, df, key, parts=4):
@@ -116,3 +121,48 @@ class TestCompaction:
         from climatemind_ontology_processing_ray.sinks.partitioned import lookup_key
 
         assert lookup_key(out, "key0123").to_pandas().v.tolist() == [123]
+
+    @pytest.mark.parametrize("staged_complete", [True, False])
+    def test_kill_between_swap_renames_is_repaired(
+        self, ray_session, tmp_path, monkeypatch, staged_complete
+    ):
+        """A kill after ``part -> part.old`` but before ``staged -> part``
+        leaves no live partition directory.  The next read or compaction
+        repairs it: the staged set rolls forward when it holds the
+        manifest's rows, else ``.old`` is restored.  Either way every row
+        is found and no ``.old`` / ``.compact.tmp`` dir is left."""
+        from climatemind_ontology_processing_ray.sinks.partitioned import (
+            compact_partitions,
+        )
+
+        df = pd.DataFrame({"k": [f"key{i:04d}" for i in range(400)], "v": range(400)})
+        out = str(tmp_path / "store")
+        write_range_partitioned(rd.from_pandas(df).repartition(16), out, "k", num_partitions=4)
+
+        real_replace = os.replace
+
+        def killed(src, dst):
+            if str(src).endswith(".compact.tmp"):
+                raise Killed("between the two renames")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(Killed):
+            compact_partitions(out, target_rows_per_file=10_000)
+        monkeypatch.setattr(os, "replace", real_replace)
+
+        live = sorted(d for d in os.listdir(out) if d.startswith("__range="))
+        broken = [d for d in live if d.endswith(".old")]
+        assert len(broken) == 1  # the first range lost its live dir
+        rid_dir = os.path.join(out, broken[0][: -len(".old")])
+        assert not os.path.exists(rid_dir)
+        staged = rid_dir + ".compact.tmp"
+        if not staged_complete:  # a staged set cut short by the kill
+            victim = sorted(f for f in os.listdir(staged) if f.endswith(".parquet"))[0]
+            os.remove(os.path.join(staged, victim))
+
+        got = read_key_range(out, "key0000", "key9999").to_pandas()
+        assert sorted(got.v) == list(range(400))
+        compact_partitions(out, target_rows_per_file=10_000)
+        assert sorted(read_key_range(out, "key0000", "key9999").to_pandas().v) == list(range(400))
+        assert not [d for d in os.listdir(out) if d.endswith((".old", ".tmp"))]

@@ -149,3 +149,281 @@ def test_changed_ontology_invalidates_checkpoints(
     res = run_kg_pipeline(pages, other, cfg)
     res.canonical_edges.take_all()
     assert res.checkpoints.hits == []
+
+
+def test_in_memory_corpus_fingerprint_covers_every_row(
+    ray_session, snapshot, table, tmp_path_factory
+):
+    """An in-memory corpus is fingerprinted by a digest of all its rows:
+    a corpus that differs from the checkpointed one only after row 64
+    does not resume, and the same rows in another order do."""
+    import pyarrow as pa
+
+    ckpt = str(tmp_path_factory.mktemp("ckpt5"))
+    _run(table, snapshot, ckpt)
+    permuted = table.take(list(range(table.num_rows))[::-1])
+    _, mgr = _run(permuted, snapshot, ckpt)
+    assert mgr.hits == STAGES
+    other_rows, _ = generate_pages(snapshot, 200, seed=22)
+    late = pa.concat_tables([table.slice(0, 150), other_rows.slice(150, 50)])
+    assert late.slice(0, 64).equals(table.slice(0, 64))
+    _, mgr = _run(late, snapshot, ckpt)
+    assert mgr.hits == []
+
+
+# --------------------------------------------------------------------- #
+# publish: staged, committed under one manifest, skipped on a matching
+# resume, repaired after a kill (state/publish.py)
+# --------------------------------------------------------------------- #
+
+
+class Killed(Exception):
+    """Stands in for a process kill at an injected point."""
+
+
+def _publish(table, snapshot, out, ckpt, emit_mentions=False):
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+
+    cfg = KGConfig(
+        extractor_concurrency=2,
+        linker_concurrency=1,
+        actor_num_cpus=0.5,
+        batch_size=64,
+        checkpoint_dir=ckpt,
+        run_key="test-run",
+    )
+    pages = ray.data.from_arrow(table).repartition(4)
+    return process_pages(pages, out, snapshot=snapshot, cfg=cfg, emit_mentions=emit_mentions)
+
+
+def _outputs(out: str) -> dict:
+    """Every published entry: a file's bytes, a Parquet dir's sorted rows
+    (Ray names part files uniquely per run)."""
+    import pyarrow.parquet as pq
+
+    from climatemind_ontology_processing_ray.state import publish
+
+    got = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name == publish.MANIFEST:
+            continue
+        if os.path.isdir(path):
+            got[name] = sorted(map(repr, pq.read_table(path).to_pylist()))
+        else:
+            with open(path, "rb") as f:
+                got[name] = f.read()
+    return got
+
+
+def _identity(out: str) -> dict:
+    """(inode, mtime_ns) of every file under ``out``."""
+    ids = {}
+    for d, _, names in os.walk(out):
+        for name in names:
+            st = os.stat(os.path.join(d, name))
+            ids[os.path.relpath(os.path.join(d, name), out)] = (st.st_ino, st.st_mtime_ns)
+    return ids
+
+
+def _published_key(out: str) -> str | None:
+    import json
+
+    from climatemind_ontology_processing_ray.state import publish
+
+    path = os.path.join(out, publish.MANIFEST)
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        key = json.load(f)["key"]
+    assert publish.verify(out, key) is not None, "published manifest does not verify"
+    return key
+
+
+@pytest.fixture(scope="module")
+def published(ray_session, snapshot, table, tmp_path_factory):
+    """A checkpoint dir and three uninterrupted publishes from it: ``old``
+    (no mentions), ``new`` (with mentions) and ``old_again`` (a second
+    run without mentions into a fresh dir)."""
+    root = tmp_path_factory.mktemp("publish")
+    ckpt = str(root / "ckpt")
+    runs = {}
+    for name, mentions in (("old", False), ("new", True), ("old_again", False)):
+        out = str(root / name)
+        art, paths = _publish(table, snapshot, out, ckpt, emit_mentions=mentions)
+        runs[name] = {"out": out, "art": art, "paths": paths, "key": _published_key(out)}
+    runs["ckpt"] = ckpt
+    return runs
+
+
+def test_publish_outputs_are_a_function_of_the_edge_set(published):
+    """Two cold publishes of one checkpoint give byte-identical files
+    (the graph pickles included) and row-identical Parquet dirs."""
+    assert _outputs(published["old"]["out"]) == _outputs(published["old_again"]["out"])
+    assert published["old"]["key"] == published["old_again"]["key"]
+    assert published["old"]["key"] != published["new"]["key"]
+
+
+def test_warm_publish_is_skipped(published, snapshot, table, monkeypatch):
+    """A warm run with a checkpoint runs no publish job: every published
+    file keeps its inode and mtime, the same paths come back and the
+    graph equals the cold run's."""
+    import networkx as nx
+    import ray.data
+
+    out = published["old"]["out"]
+    before = _identity(out)
+
+    def no_write(*a, **k):
+        raise AssertionError("a skipped publish wrote a Dataset")
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_write)
+    art, paths = _publish(table, snapshot, out, published["ckpt"])
+    assert _identity(out) == before
+    assert paths == published["old"]["paths"]
+    assert nx.utils.graphs_equal(art.G, published["old"]["art"].G)
+
+
+@pytest.mark.parametrize("damage", ["delete", "alter", "extra_file"])
+def test_damaged_output_forces_republish(
+    published, snapshot, table, tmp_path, damage
+):
+    """A deleted, altered or added file under the published entries fails
+    verification, so the next run publishes again and restores them."""
+    import shutil
+
+    out = str(tmp_path / "out")
+    shutil.copytree(published["old"]["out"], out)
+    if damage == "delete":
+        os.remove(os.path.join(out, "output.csv"))
+    elif damage == "alter":
+        with open(os.path.join(out, "Climate_Mind_DiGraph.gpickle"), "ab") as f:
+            f.write(b"\0")
+    else:
+        edges_dir = os.path.join(out, "canonical_edges")
+        first = sorted(os.listdir(edges_dir))[0]
+        shutil.copy(os.path.join(edges_dir, first), os.path.join(edges_dir, "dup.parquet"))
+    _publish(table, snapshot, out, published["ckpt"])
+    assert _published_key(out) == published["old"]["key"]
+    assert _outputs(out) == _outputs(published["old"]["out"])
+
+
+def test_flipping_emit_mentions_republishes(published, snapshot, table, tmp_path):
+    """``emit_mentions`` is part of the publish key; turning it off again
+    removes the stale ``mentions/``."""
+    import shutil
+
+    out = str(tmp_path / "out")
+    shutil.copytree(published["old"]["out"], out)
+    _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+    assert "mentions" in paths and os.listdir(paths["mentions"])
+    assert _published_key(out) == published["new"]["key"]
+    assert _outputs(out) == _outputs(published["new"]["out"])
+    _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=False)
+    assert "mentions" not in paths and not os.path.exists(os.path.join(out, "mentions"))
+    assert _outputs(out) == _outputs(published["old"]["out"])
+
+
+def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tmp_path):
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+    from climatemind_ontology_processing_ray.state import publish
+
+    cfg = KGConfig(extractor_concurrency=2, linker_concurrency=1, actor_num_cpus=0.5, batch_size=64)
+    out = str(tmp_path)
+    manifests = []
+    for _ in range(2):
+        process_pages(ray.data.from_arrow(table).repartition(4), out, snapshot=snapshot, cfg=cfg)
+        manifests.append(_identity(out)[publish.MANIFEST])
+        assert publish.verify(out, None) is not None
+    assert manifests[0] != manifests[1]
+
+
+# a kill at each step of a publish that replaces ``old`` by ``new``:
+# after each staged output (edges, adjacency, reference files, nodes,
+# mentions), at each rename (staged manifest seal, the 8 entry moves, the
+# manifest move) and after the commit before staging cleanup
+KILL_POINTS = (
+    [("staged_write", n) for n in range(1, 6)]
+    + [("move", n) for n in range(1, 11)]
+    + [("cleanup", 1)]
+)
+
+
+@pytest.mark.parametrize("point,n", KILL_POINTS)
+def test_killed_publish_leaves_one_complete_set(
+    published, snapshot, table, tmp_path, monkeypatch, point, n
+):
+    """After a kill at any publish step ``_PUBLISH.json`` is absent or
+    verifies (and names the old or the new set); the next run repairs
+    without manual cleanup and ends byte-identical to an uninterrupted
+    run, with no staging directory left."""
+    import shutil
+
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines import api
+    from climatemind_ontology_processing_ray.state import publish
+
+    out = str(tmp_path / "out")
+    shutil.copytree(published["old"]["out"], out)
+    calls = {"n": 0}
+
+    def count_then_kill():
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise Killed(f"{point} {n}")
+
+    if point == "staged_write":
+        real_write, real_artifacts = ray.data.Dataset.write_parquet, api.write_all_artifacts
+
+        def write(self, *a, **k):
+            real_write(self, *a, **k)
+            count_then_kill()
+
+        def artifacts(*a, **k):
+            paths = real_artifacts(*a, **k)
+            count_then_kill()
+            return paths
+
+        monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
+        monkeypatch.setattr(api, "write_all_artifacts", artifacts)
+    elif point == "move":
+        real_move = publish._move
+
+        def move(src, dst):
+            count_then_kill()
+            real_move(src, dst)
+
+        monkeypatch.setattr(publish, "_move", move)
+    else:
+        real_remove = publish._remove
+
+        def remove(path):
+            if path == publish.staging_dir(out):
+                count_then_kill()
+            real_remove(path)
+
+        monkeypatch.setattr(publish, "_remove", remove)
+
+    with pytest.raises(Killed):
+        _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+    monkeypatch.undo()
+
+    assert _published_key(out) in (None, published["old"]["key"], published["new"]["key"])
+    if point == "cleanup" or (point == "move" and n > 1):
+        # the staged set was sealed: the next run rolls it forward (or
+        # finds it committed), then finds it matching, so it writes no
+        # Dataset at all
+        def no_write(*a, **k):
+            raise AssertionError("a sealed staged set was not rolled forward")
+
+        monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_write)
+    _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+    monkeypatch.undo()
+    assert not os.path.exists(publish.staging_dir(out))
+    assert _published_key(out) == published["new"]["key"]
+    assert _outputs(out) == _outputs(published["new"]["out"])
