@@ -110,7 +110,7 @@ def repair(output_dir: str) -> None:
         _remove(staging)
 
 
-def seal(staging: str, key: str | None, paths: dict[str, str], replaces) -> dict:
+def seal(staging: str, key: str | None, paths: dict[str, str], replaces) -> None:
     """Write the staged manifest for ``paths`` (output name -> staged path),
     last and atomically: a staging directory holding a manifest is
     complete."""
@@ -127,7 +127,6 @@ def seal(staging: str, key: str | None, paths: dict[str, str], replaces) -> dict
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
     _move(tmp, os.path.join(staging, MANIFEST))
-    return manifest
 
 
 def commit(output_dir: str) -> dict:
@@ -149,7 +148,7 @@ def commit(output_dir: str) -> dict:
     return manifest
 
 
-def verify(output_dir: str, key: str) -> dict | None:
+def verify(output_dir: str, key: str | None) -> dict | None:
     """The published manifest when its key is ``key`` and the files under
     its entries are exactly the listed ones, each with its size and md5;
     else ``None``."""
