@@ -6,13 +6,16 @@ ClimateMind/climatemind-ontology-processing (reference at /root/reference,
 cited by file:line throughout) as an idiomatic Ray Data pipeline:
 
     pages (url, warc_ts, html, text, lang) Parquet
-      -> map_batches(extract_html)        [stateless, zero-copy Arrow]
+      -> map_batches(extract_pages_batch) [stateless, zero-copy Arrow]
       -> lang/quality filter              [vectorized predicate]
-      -> map_batches(MentionDetector)     [actor pool; automaton in __init__]
-      -> map_batches(extract_triples)     [stateless, causal patterns]
-      -> map_batches(EntityLinker)        [actor pool; broadcast ontology index]
-      -> salted groupby canonicalization  [two-phase shuffle, head-key salting]
-      -> groupby (subject,object,predicate) dedup + support/source aggregation
+      -> map_batches(PageToTriplePartials)
+                                          [stateless tasks, one operator with
+                                           the two above; automaton + ontology
+                                           index built once per worker: causal
+                                           triples, entity links, map-side
+                                           combine]
+      -> fan-in combine + ONE groupby (subject,object,predicate) exchange:
+         dedup + support/source aggregation
       -> sorted groupby(subject) adjacency partitions  [Parquet sink]
       -> driver-side graph enrichment on the (small) canonical edge table,
          mirroring the reference's make_graph/process_* semantics.

@@ -97,16 +97,14 @@ def extract_mentions(
 ) -> Dataset:
     """The mentions table of SURVEY §1.3: pages -> extracted text -> mention
     rows (url, sent_id, surface, surface_norm, node_label, span_start/end)
-    via the A1 automaton actor pool."""
-    import ray
-
+    via the A1 automaton, built once per worker."""
     from ..stages.extract import extract_pages_batch
+    from ..stages.fused import per_worker
     from ..stages.mentions import MentionDetector
     from .kg import lang_filter
 
     cfg = cfg or KGConfig()
     snap = _load_snapshot(snapshot)
-    snapshot_json = snap.to_json()
     extracted = lang_filter(
         pages.map_batches(
             extract_pages_batch,
@@ -118,12 +116,9 @@ def extract_mentions(
         cfg.min_text_chars,
     )
     return extracted.map_batches(
-        MentionDetector,
-        fn_constructor_kwargs={"snapshot_json": snapshot_json},
+        per_worker(MentionDetector, snap.to_json()),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
-        concurrency=cfg.extractor_concurrency,
-        num_cpus=cfg.actor_num_cpus,
     )
 
 

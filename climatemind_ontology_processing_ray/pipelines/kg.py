@@ -4,16 +4,19 @@
       -> map_batches(extract_pages_batch)   stateless tasks, zero-copy Arrow,
                                             html column dropped immediately
       -> lang filter                        vectorized pyarrow predicate
-      -> map_batches(TripleExtractor)       actor pool (automaton state)
-      -> map_batches(EntityLinker)          actor pool (broadcast index)
-      -> canonicalize_triples               map-side + fan-in combines, then
+                                            (``keep_pages``)
+      -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
+                                            automaton + index: extract,
+                                            link and map-side combine
+      -> canonicalize_partials              fan-in combine, then
                                             ONE groupby exchange
       -> (optional) adjacency materialize + parquet sinks
       -> driver-side graph enrichment       ontology-sized (SURVEY §7.0 (c))
 
-Each stage is an independently-invocable Dataset -> Dataset function (the
-reference's step-method surface, SURVEY §2.9), optionally checkpointed at
-stage boundaries via CheckpointManager.
+The first three steps fuse into one operator.  The stage boundaries
+(``extracted``, ``partials``, ``canonical_edges``) are Dataset -> Dataset
+steps (the reference's step-method surface, SURVEY §2.9), optionally
+checkpointed via CheckpointManager.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
 from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
 from ..ontology.schema import OntologySnapshot
+from ..stages.canonicalize import canonicalize_partials
+from ..stages.fused import make_fused_partials_fn
 from ..state.checkpoint import CheckpointManager
 from .. import stages as S
 
@@ -37,11 +40,6 @@ from .. import stages as S
 @dataclass
 class KGConfig:
     batch_size: int = 1024
-    # actor pools: (min, max) autoscaling bounds; sized so extract / shuffle
-    # stages are not starved (concurrency x num_cpus < cluster CPUs)
-    extractor_concurrency: tuple[int, int] | int = (2, 8)
-    linker_concurrency: tuple[int, int] | int = (2, 4)
-    actor_num_cpus: float = 1.0
     link_threshold: float = 0.85
     num_salts: int = 16
     sources_cap: int = 8
@@ -51,14 +49,9 @@ class KGConfig:
     # quality gate: pages whose extracted text is shorter are dropped with
     # the language filter (0 disables)
     min_text_chars: int = 0
-    # fused=True runs triple extraction + linking + map-side combine in ONE
-    # actor-pool stage (fewer operator boundaries -> less per-block executor
-    # overhead); False keeps the stages as separate operators.  Outputs are
-    # identical — the fused stage composes the same implementations.
-    fused: bool = True
     # extension surface (SURVEY §2.9): inject custom extractor/linker
-    # callable classes (same constructor/__call__ contract as the defaults).
-    # Custom classes force the unfused (actor-pool) path.
+    # callable classes (same constructor/__call__ contract as the defaults);
+    # they run inside the one front-end operator (stages/fused.py)
     triple_extractor_cls: type | None = None
     entity_linker_cls: type | None = None
 
@@ -77,25 +70,32 @@ class KGResult:
         return self.canonical_edges.stats()
 
 
+def keep_pages(
+    batch: pa.Table, keep_langs: tuple[str, ...], min_text_chars: int = 0
+) -> pa.Table:
+    """The lang/quality kernel over extracted pages: keep the rows whose
+    extraction succeeded, whose ``lang`` is in ``keep_langs`` and whose
+    extracted text has at least ``min_text_chars`` characters (0 disables)."""
+    mask = pc.and_(
+        pc.is_in(batch.column("lang"), value_set=pa.array(list(keep_langs), pa.string())),
+        batch.column("extract_ok"),
+    )
+    if min_text_chars:
+        mask = pc.and_(
+            mask,
+            pc.greater_equal(
+                pc.utf8_length(batch.column("extracted_text")),
+                pa.scalar(min_text_chars),
+            ),
+        )
+    return batch.filter(mask)
+
+
 def lang_filter(
     extracted: Dataset, keep_langs: tuple[str, ...], min_text_chars: int = 0
 ) -> Dataset:
-    langs = pa.array(list(keep_langs), pa.string())
-
     def keep(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.is_in(batch.column("lang"), value_set=langs),
-            batch.column("extract_ok"),
-        )
-        if min_text_chars:
-            mask = pc.and_(
-                mask,
-                pc.greater_equal(
-                    pc.utf8_length(batch.column("extracted_text")),
-                    pa.scalar(min_text_chars),
-                ),
-            )
-        return batch.filter(mask)
+        return keep_pages(batch, keep_langs, min_text_chars)
 
     return extracted.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -132,22 +132,34 @@ def corpus_digest(pages: Dataset) -> str:
     return f"rows={rows}|{total:032x}"
 
 
+def _qualname(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def run_kg_pipeline(
     pages: Dataset, snap: OntologySnapshot, cfg: KGConfig | None = None
 ) -> KGResult:
     """Run the distributed front end; the returned canonical edge Dataset is
     lazy unless checkpointing forced stage materialization."""
     cfg = cfg or KGConfig()
+    extractor_cls = cfg.triple_extractor_cls or S.TripleExtractor
+    linker_cls = cfg.entity_linker_cls or S.EntityLinker
+    # the snapshot is ~100 KB JSON: shipped inline in the task fn's closure
+    # (self-contained; for genuinely large snapshots switch to ray.put)
+    snapshot_json = snap.to_json()
     # guard against stale-checkpoint reuse: fold a fingerprint of the input
-    # corpus and the ontology snapshot into the manifest key, so a different
-    # corpus or ontology under the same run_key recomputes instead of
-    # resuming (and, through the publish key, does not return another
-    # corpus's published outputs).  For file-backed Datasets the
-    # fingerprint covers the file list plus each file's (size, mtime); for
-    # in-memory / transformed Datasets (``input_files()`` empty — from_arrow,
+    # corpus, the ontology snapshot and the config fields that change the
+    # output into the manifest key, so a different corpus, ontology or
+    # config under the same run_key recomputes instead of resuming (and,
+    # through the publish key, does not return another run's published
+    # outputs).  For file-backed Datasets the corpus fingerprint covers the
+    # file list plus each file's (size, mtime in ns); for in-memory /
+    # transformed Datasets (``input_files()`` empty — from_arrow,
     # from_pandas, mapped sources) it is a digest of the full content, one
-    # pass over the rows (``corpus_digest``).  Only computed when
-    # checkpointing is on — the no-checkpoint path stays fully lazy.
+    # pass over the rows (``corpus_digest``).  ``batch_size`` and
+    # ``num_salts`` do not change the canonical edges and stay out.  Only
+    # computed when checkpointing is on — the no-checkpoint path stays
+    # fully lazy.
     if cfg.checkpoint_dir:
         try:
             files = sorted(pages.input_files())
@@ -158,23 +170,26 @@ def run_kg_pipeline(
             for f in files:
                 try:
                     st = os.stat(f)
-                    stats.append(f"{f}:{st.st_size}:{int(st.st_mtime)}")
+                    stats.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
                 except OSError:
                     stats.append(f)
             corpus_fp = "|".join(stats)
         else:
             corpus_fp = f"schema={pages.schema()}|{corpus_digest(pages)}"
+        output_cfg = (
+            tuple(cfg.keep_langs),
+            cfg.min_text_chars,
+            cfg.link_threshold,
+            cfg.sources_cap,
+            _qualname(extractor_cls),
+            _qualname(linker_cls),
+        )
         fp = hashlib.sha1(
-            (corpus_fp + snap.to_json()).encode()
+            (corpus_fp + snapshot_json + repr(output_cfg)).encode()
         ).hexdigest()[:12]
     else:
         fp = "nockpt"
     ckpt = CheckpointManager(cfg.checkpoint_dir, f"{cfg.run_key}:{fp}")
-    # the snapshot is ~100 KB JSON: shipped inline in constructor kwargs.
-    # (An ObjectRef broadcast also works but makes actor RESTARTS depend on
-    # the driver keeping the ref alive — ray-project/ray#53727; inline args
-    # are self-contained.  For genuinely large snapshots switch to ray.put.)
-    snapshot_json = snap.to_json()
 
     def _extracted() -> Dataset:
         ds = pages.map_batches(
@@ -186,64 +201,26 @@ def run_kg_pipeline(
         return lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
 
     extracted = ckpt.stage("extracted", _extracted)
-
-    custom = cfg.triple_extractor_cls or cfg.entity_linker_cls
-    if cfg.fused and not custom:
-        from ..stages.fused import make_fused_partials_fn
-
-        def _partials() -> Dataset:
-            # stateless tasks with per-worker cached state: fuses with the
-            # read/extract/filter chain into ONE operator (see fused.py)
-            return extracted.map_batches(
-                make_fused_partials_fn(
-                    snapshot_json=snapshot_json,
-                    threshold=cfg.link_threshold,
-                    num_salts=cfg.num_salts,
-                    sources_cap=cfg.sources_cap,
-                ),
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-            )
-
-        from ..stages.canonicalize import canonicalize_partials
-
-        partials = ckpt.stage("partials", _partials)
-        canonical = ckpt.stage(
-            "canonical_edges",
-            lambda: canonicalize_partials(partials, cfg.sources_cap),
-        )
-        return KGResult(
-            canonical_edges=canonical, checkpoints=ckpt, snapshot=snap, config=cfg
-        )
-
-    def _linked() -> Dataset:
-        triples = extracted.map_batches(
-            cfg.triple_extractor_cls or S.TripleExtractor,
-            fn_constructor_kwargs={"snapshot_json": snapshot_json},
+    # stateless tasks with per-worker cached state: fuses with the
+    # read/extract/filter chain into ONE operator (see fused.py)
+    partials = ckpt.stage(
+        "partials",
+        lambda: extracted.map_batches(
+            make_fused_partials_fn(
+                snapshot_json=snapshot_json,
+                threshold=cfg.link_threshold,
+                num_salts=cfg.num_salts,
+                sources_cap=cfg.sources_cap,
+                extractor_cls=extractor_cls,
+                linker_cls=linker_cls,
+            ),
             batch_format="pyarrow",
             batch_size=cfg.batch_size,
-            concurrency=cfg.extractor_concurrency,
-            num_cpus=cfg.actor_num_cpus,
-        )
-        return triples.map_batches(
-            cfg.entity_linker_cls or S.EntityLinker,
-            fn_constructor_kwargs={
-                "snapshot_json": snapshot_json,
-                "threshold": cfg.link_threshold,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=cfg.linker_concurrency,
-            num_cpus=cfg.actor_num_cpus,
-        )
-
-    linked = ckpt.stage("linked", _linked)
-
+        ),
+    )
     canonical = ckpt.stage(
         "canonical_edges",
-        lambda: S.canonicalize_triples(
-            linked, num_salts=cfg.num_salts, sources_cap=cfg.sources_cap
-        ),
+        lambda: canonicalize_partials(partials, cfg.sources_cap),
     )
     return KGResult(canonical_edges=canonical, checkpoints=ckpt, snapshot=snap, config=cfg)
 

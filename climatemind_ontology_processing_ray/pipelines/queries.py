@@ -2598,11 +2598,7 @@ def q_kg_canonical_edges(sf_dir: str):
 
     table, _ = generate_pages(snap, _fixture_pages_count(sf_dir), seed=13)
     pages = rd.from_arrow(table).repartition(8)
-    res = run_kg_pipeline(
-        pages,
-        snap,
-        KGConfig(extractor_concurrency=(2, 4), linker_concurrency=(1, 2), actor_num_cpus=0.5),
-    )
+    res = run_kg_pipeline(pages, snap, KGConfig())
     out = res.canonical_edges.to_pandas()
     out["support"] = out["support"].astype("int64")
     return (
@@ -3079,8 +3075,7 @@ FROM triples GROUP BY subject ORDER BY subject
 
 def q_kg_adjacency(sf_dir: str):
     """Adjacency-list partitions from the flagship canonical edges
-    (shared cached pipeline run; `kg_canonical_edges` separately
-    exercises the unfused actor-pool path)."""
+    (shared cached pipeline run)."""
     from ..stages.adjacency import build_adjacency
 
     adj = build_adjacency(_kg_canonical_edge_ds(sf_dir)).to_pandas()
@@ -3224,10 +3219,7 @@ def q_kg_edge_timespan(sf_dir: str):
     )
     # task-based fused extract+link (stages/fused.py:make_extract_link_fn):
     # the executor fuses read -> extract -> filter -> this into one
-    # operator and per-worker caches the automaton/index state, avoiding
-    # the two actor pools' startup that dominated this overhead-bound
-    # query (the unfused actor-pool path stays exercised by
-    # kg_canonical_edges).
+    # operator and per-worker caches the automaton/index state.
     from ..stages.fused import make_extract_link_fn
 
     snapshot_json = snap.to_json()

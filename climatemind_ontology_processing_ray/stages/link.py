@@ -1,6 +1,6 @@
-"""Entity linking: actor-pool stage scoring surface forms against
-canonical ontology IRIs (SURVEY §2.3 A2; north_star "actor-pool stages
-score entity links to canonical ontology IRIs").
+"""Entity linking: a stateful stage scoring surface forms against
+canonical ontology IRIs (SURVEY §2.3 A2), its index built once per worker
+(``stages/fused.py``).
 
 The reference links by exact label equality (``onto.search_one``,
 ``make_graph_class.py:114``); here linking is: normalize the surface
@@ -16,7 +16,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..ontology.schema import OntologySnapshot, normalize_surface
-from .mentions import _load_snapshot
 
 
 class EntityLinker:
@@ -26,13 +25,8 @@ class EntityLinker:
     and filters to rows where both endpoints link at >= threshold.
     """
 
-    def __init__(
-        self,
-        snapshot_ref=None,
-        snapshot_json: str | None = None,
-        threshold: float = 0.85,
-    ):
-        snap: OntologySnapshot = _load_snapshot(snapshot_ref, snapshot_json)
+    def __init__(self, snapshot_json: str, threshold: float = 0.85):
+        snap = OntologySnapshot.from_json(snapshot_json)
         self.index = snap.surface_index()
         self.iris = {label: node["iri"] for label, node in snap.individuals.items()}
         self.threshold = threshold

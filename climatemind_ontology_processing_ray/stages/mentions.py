@@ -1,23 +1,19 @@
-"""Mention detection: stateful actor-pool stage (SURVEY §2.3 A1).
+"""Mention detection: a stateful callable (SURVEY §2.3 A1).
 
 The reference resolves labels with a linear ``onto.search_one(label=...)``
 scan per node (``make_graph_class.py:114``).  Here the ontology's surface
-forms are compiled ONCE PER ACTOR into a single longest-first regex
-alternation (C-speed scan, equivalent to an Aho-Corasick automaton for
-this vocabulary size) in ``__init__``; ``__call__`` then scans each batch.
+forms are compiled ONCE into a single longest-first regex alternation
+(C-speed scan, equivalent to an Aho-Corasick automaton for this
+vocabulary size) in ``__init__``; ``__call__`` then scans each batch.
 
 Use as::
 
-    snap_ref = ray.put(snap.to_json())
     pages.map_batches(
-        MentionDetector,
-        fn_constructor_kwargs={"snapshot_ref": snap_ref},
+        per_worker(MentionDetector, snap.to_json()),   # stages/fused.py
         batch_format="pyarrow", batch_size=512,
-        concurrency=(2, 8), num_cpus=1,
     )
 
-The broadcast happens once per actor (``ray.get`` in ``__init__``), never
-per batch.
+so the pattern is built once per worker process, never per batch.
 """
 
 from __future__ import annotations
@@ -41,13 +37,13 @@ def build_surface_pattern(surface_forms: Iterable[str]) -> re.Pattern:
     return re.compile(rf"(?<![a-z0-9])(?:{alts})(?![a-z0-9])")
 
 
-def _load_snapshot(snapshot_ref=None, snapshot_json: str | None = None) -> OntologySnapshot:
-    if snapshot_ref is not None:
-        import ray
-
-        snapshot_json = ray.get(snapshot_ref)
-    assert snapshot_json is not None, "need snapshot_ref or snapshot_json"
-    return OntologySnapshot.from_json(snapshot_json)
+def snapshot_surface_pattern(snap: OntologySnapshot) -> re.Pattern:
+    """The surface pattern over every individual's surface forms (its
+    label when it lists none)."""
+    forms: set[str] = set()
+    for node in snap.individuals.values():
+        forms.update(node.get("surface_forms") or [node["label"]])
+    return build_surface_pattern(forms)
 
 
 class MentionDetector:
@@ -57,12 +53,9 @@ class MentionDetector:
     node_label (nullable), span_start, span_end (int32).
     """
 
-    def __init__(self, snapshot_ref=None, snapshot_json: str | None = None):
-        snap = _load_snapshot(snapshot_ref, snapshot_json)
-        forms: set[str] = set()
-        for node in snap.individuals.values():
-            forms.update(node.get("surface_forms") or [node["label"]])
-        self.pattern = build_surface_pattern(forms)
+    def __init__(self, snapshot_json: str):
+        snap = OntologySnapshot.from_json(snapshot_json)
+        self.pattern = snapshot_surface_pattern(snap)
         self.index = snap.surface_index()
 
     def __call__(self, batch: pa.Table) -> pa.Table:

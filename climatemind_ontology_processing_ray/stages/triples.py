@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..ontology.schema import OntologySnapshot
 from ..ontology.vocab import CAUSES, EXPOSURE, INHIBITS, IS_A, MYTH_ABOUT, POPULATION
-from .mentions import _load_snapshot, build_surface_pattern
+from .mentions import snapshot_surface_pattern
 
 # connective text (lowercased, stripped) -> (predicate, subject_first)
 CONNECTIVES: dict[str, tuple[str, bool]] = {
@@ -48,12 +49,8 @@ class TripleExtractor:
     evidence (the matched sentence).
     """
 
-    def __init__(self, snapshot_ref=None, snapshot_json: str | None = None):
-        snap = _load_snapshot(snapshot_ref, snapshot_json)
-        forms: set[str] = set()
-        for node in snap.individuals.values():
-            forms.update(node.get("surface_forms") or [node["label"]])
-        self.pattern = build_surface_pattern(forms)
+    def __init__(self, snapshot_json: str):
+        self.pattern = snapshot_surface_pattern(OntologySnapshot.from_json(snapshot_json))
 
     # connectives are short; gaps longer than this can't match
     _MAX_GAP = max(len(c) for c in CONNECTIVES) + 8

@@ -3,13 +3,13 @@
 import os
 import pickle
 
+import pytest
+
 from climatemind_ontology_processing_ray.pipelines.api import output_edges, process_pages
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
 
-CFG = KGConfig(
-    extractor_concurrency=2, linker_concurrency=1, actor_num_cpus=0.5, batch_size=64
-)
+CFG = KGConfig(batch_size=64)
 
 
 def test_process_pages_full_outputs(ray_session, snapshot, tmp_path):
@@ -71,12 +71,52 @@ def test_cli_synth_and_edges(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "pages-00000.parquet"))
 
 
-def test_custom_extractor_extension(ray_session, snapshot):
-    """SURVEY §2.9 extension surface: user-injected extractor class."""
+@pytest.mark.parametrize("custom", ["extractor", "linker"])
+def test_custom_extractor_extension(ray_session, snapshot, tmp_path, custom):
+    """SURVEY §2.9 extension surface: a user-injected extractor or linker
+    class runs inside the one front-end operator, under the same
+    checkpoint stages as the default."""
     import pyarrow as pa
     import ray.data
 
     from climatemind_ontology_processing_ray.pipelines.kg import run_kg_pipeline
+    from climatemind_ontology_processing_ray.stages.link import EntityLinker
+    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
+
+    def only_causes(out: pa.Table) -> pa.Table:
+        return out.filter(
+            pa.compute.equal(out.column("predicate"), pa.scalar("causes_or_promotes"))
+        )
+
+    class OnlyCausesExtractor(TripleExtractor):
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return only_causes(super().__call__(batch))
+
+    class OnlyCausesLinker(EntityLinker):
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return only_causes(super().__call__(batch))
+
+    table, _ = generate_pages(snapshot, 150, seed=13)
+    pages = ray.data.from_arrow(table).repartition(2)
+    if custom == "extractor":
+        classes = {"triple_extractor_cls": OnlyCausesExtractor}
+    else:
+        classes = {"entity_linker_cls": OnlyCausesLinker}
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path), **classes)
+    res = run_kg_pipeline(pages, snapshot, cfg)
+    rows = res.canonical_edges.take_all()
+    assert rows and all(r["predicate"] == "causes_or_promotes" for r in rows)
+    assert res.checkpoints.misses == ["extracted", "partials", "canonical_edges"]
+    assert sorted(os.listdir(tmp_path)) == ["canonical_edges", "extracted", "partials"]
+
+
+def test_worker_cache_keys_on_custom_classes(snapshot):
+    """One process serving the default and a custom front end builds each
+    once: the per-worker cache key holds the extractor and linker classes."""
+    import pyarrow as pa
+
+    from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
+    from climatemind_ontology_processing_ray.stages.fused import make_fused_partials_fn
     from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
 
     class OnlyCausesExtractor(TripleExtractor):
@@ -86,17 +126,13 @@ def test_custom_extractor_extension(ray_session, snapshot):
                 pa.compute.equal(out.column("predicate"), pa.scalar("causes_or_promotes"))
             )
 
-    table, _ = generate_pages(snapshot, 150, seed=13)
-    pages = ray.data.from_arrow(table).repartition(2)
-    cfg = KGConfig(
-        extractor_concurrency=2,
-        linker_concurrency=1,
-        actor_num_cpus=0.5,
-        batch_size=64,
-        triple_extractor_cls=OnlyCausesExtractor,
-    )
-    rows = run_kg_pipeline(pages, snapshot, cfg).canonical_edges.take_all()
-    assert rows and all(r["predicate"] == "causes_or_promotes" for r in rows)
+    table, _ = generate_pages(snapshot, 50, seed=13)
+    batch = extract_pages_batch(table)
+    sj = snapshot.to_json()
+    default = make_fused_partials_fn(snapshot_json=sj)(batch)
+    custom = make_fused_partials_fn(snapshot_json=sj, extractor_cls=OnlyCausesExtractor)(batch)
+    assert set(default.column("predicate").to_pylist()) != {"causes_or_promotes"}
+    assert set(custom.column("predicate").to_pylist()) == {"causes_or_promotes"}
 
 
 def test_incremental_merge_equals_full_run(ray_session, snapshot):
@@ -193,6 +229,38 @@ def test_driver_contract_owns_no_ray_session():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"ray session calls inside the driver surface: {offenders}"
+
+
+def test_kg_core_imports_nothing_from_the_registry():
+    """The KG core imports nothing from the operator registry
+    (``functions/``, ``pipelines/queries``).  ``sinks/`` is left out: it
+    still imports ``functions.sample``, no KG pipeline module imports
+    ``sinks``, and moving ``sample`` into the core is still open."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "climatemind_ontology_processing_ray"
+    core = [pkg / "pipelines" / "kg.py", pkg / "pipelines" / "api.py", pkg / "runtime.py"]
+    for sub in ("stages", "state", "graph", "ontology", "sources"):
+        core += sorted((pkg / sub).rglob("*.py"))
+    offenders = []
+    for path in core:
+        parts = path.relative_to(pkg.parent).with_suffix("").parts
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # resolve a relative import against the module's package
+                base = list(parts[: len(parts) - node.level]) if node.level else []
+                base += [node.module] if node.module else []
+                names = [".".join(base + [a.name]) for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                dotted = "." + name + "."
+                if ".functions." in dotted or ".pipelines.queries." in dotted:
+                    offenders.append(f"{path.relative_to(pkg)}:{node.lineno} {name}")
+    assert not offenders, f"KG core imports from the registry: {offenders}"
 
 
 _PICKLES_SCRIPT = """

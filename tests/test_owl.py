@@ -337,8 +337,7 @@ def test_owl_file_feeds_pipeline(ray_session, tmp_path):
     edges = output_edges(
         pages,
         snapshot=owl_path,
-        cfg=KGConfig(extractor_concurrency=(1, 2), linker_concurrency=(1, 2),
-                     actor_num_cpus=0.5),
+        cfg=KGConfig(),
     ).to_pandas()
     got = {(r.subject, r.object, r.predicate) for r in edges.itertuples()}
     golden = golden_edge_set(snap)

@@ -21,9 +21,7 @@ def pages_and_info(snapshot):
 def _run(table, snapshot, num_blocks=4, **cfg_kwargs):
     import ray.data
 
-    cfg = KGConfig(
-        extractor_concurrency=2, linker_concurrency=1, actor_num_cpus=0.5, batch_size=64, **cfg_kwargs
-    )
+    cfg = KGConfig(batch_size=64, **cfg_kwargs)
     pages = ray.data.from_arrow(table).repartition(num_blocks)
     res = run_kg_pipeline(pages, snapshot, cfg)
     rows = res.canonical_edges.take_all()
@@ -54,14 +52,37 @@ def test_precision_recall_gate(ray_session, snapshot, golden, pages_and_info):
     )
 
 
+def _kernel_edges(table, snapshot, cfg):
+    """The front end and the final merge as driver-side kernels over the
+    whole table, no Ray: extract -> lang/quality -> PageToTriplePartials
+    -> one ``_merge_arrow``."""
+    from climatemind_ontology_processing_ray.pipelines.kg import keep_pages
+    from climatemind_ontology_processing_ray.stages.canonicalize import (
+        TRIPLE_KEY,
+        _merge_arrow,
+    )
+    from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
+    from climatemind_ontology_processing_ray.stages.fused import PageToTriplePartials
+
+    kept = keep_pages(extract_pages_batch(table), cfg.keep_langs, cfg.min_text_chars)
+    partials = PageToTriplePartials(
+        snapshot.to_json(), cfg.link_threshold, cfg.num_salts, cfg.sources_cap
+    )(kept)
+    return _merge_arrow(partials, TRIPLE_KEY, cfg.sources_cap).to_pylist()
+
+
 def test_identical_edge_set_across_parallelism(ray_session, snapshot, pages_and_info):
+    """The pipeline at 2 and 8 blocks and the driver-side kernel chain over
+    the whole table give the same (key, support, sources) rows."""
     table, _ = pages_and_info
-    rows_a, _ = _run(table, snapshot, num_blocks=2)
+    rows_a, res = _run(table, snapshot, num_blocks=2)
     rows_b, _ = _run(table, snapshot, num_blocks=8)
+    rows_k = _kernel_edges(table, snapshot, res.config)
     key = lambda r: (r["subject"], r["object"], r["predicate"])
     a = sorted(((key(r), r["support"], tuple(r["sources"])) for r in rows_a))
     b = sorted(((key(r), r["support"], tuple(r["sources"])) for r in rows_b))
-    assert a == b
+    k = sorted(((key(r), r["support"], tuple(r["sources"])) for r in rows_k))
+    assert a and a == b == k
 
 
 def test_non_english_pages_contribute_nothing(ray_session, snapshot, pages_and_info):
@@ -93,10 +114,8 @@ def test_mention_canonicalization_counts(ray_session, snapshot, pages_and_info):
         canonicalize_mentions,
         extract_pages_batch,
     )
-    import ray
 
     table, _ = pages_and_info
-    snapshot_ref = ray.put(snapshot.to_json())
     extracted = (
         ray.data.from_arrow(table)
         .repartition(4)
@@ -104,7 +123,7 @@ def test_mention_canonicalization_counts(ray_session, snapshot, pages_and_info):
     )
     mentions = extracted.map_batches(
         MentionDetector,
-        fn_constructor_kwargs={"snapshot_ref": snapshot_ref},
+        fn_constructor_kwargs={"snapshot_json": snapshot.to_json()},
         batch_format="pyarrow",
         batch_size=64,
         concurrency=2,
@@ -179,17 +198,15 @@ def test_salting_spreads_hot_keys(ray_session):
 
 
 def test_mention_spans_are_exact_page_offsets(ray_session, snapshot):
-    import ray
     import ray.data
 
     from climatemind_ontology_processing_ray.stages import MentionDetector
 
     text = "Sea level rise worries experts.\nGlobal warming causes sea level rise."
     ds = ray.data.from_items([{"url": "u", "extracted_text": text}])
-    snapshot_ref = ray.put(snapshot.to_json())
     rows = ds.map_batches(
         MentionDetector,
-        fn_constructor_kwargs={"snapshot_ref": snapshot_ref},
+        fn_constructor_kwargs={"snapshot_json": snapshot.to_json()},
         batch_format="pyarrow",
         concurrency=1,
     ).take_all()
@@ -206,7 +223,6 @@ def test_skew_stress_partial_rows_bounded(ray_session, snapshot):
     on most pages must enter the shuffle as at most (blocks x salts) partial
     rows, not one row per occurrence — the map-side combine bound."""
     import pyarrow as pa
-    import ray
     import ray.data
 
     from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
@@ -224,13 +240,12 @@ def test_skew_stress_partial_rows_bounded(ray_session, snapshot):
             "lang": pa.array(["en"] * n_pages),
         }
     )
-    ref = ray.put(snapshot.to_json())
     partials = (
         ray.data.from_arrow(table)
         .repartition(n_blocks)
         .map_batches(extract_pages_batch, batch_format="pyarrow")
         .map_batches(
-            make_fused_partials_fn(snapshot_ref=ref, num_salts=n_salts),
+            make_fused_partials_fn(snapshot_json=snapshot.to_json(), num_salts=n_salts),
             batch_format="pyarrow",
             batch_size=None,
         )
@@ -243,50 +258,35 @@ def test_skew_stress_partial_rows_bounded(ray_session, snapshot):
     assert len({p["salt"] for p in hot_rows}) > 1
 
 
-def test_extract_link_fn_matches_actor_pool(ray_session, snapshot):
+def test_extract_link_fn_matches_driver_kernels(ray_session, snapshot):
     """make_extract_link_fn (the task-based extract+link used by the
-    provenance join in kg_edge_timespan) must emit exactly the rows the
-    separate TripleExtractor/EntityLinker actor pools emit."""
+    provenance join in kg_edge_timespan) must emit exactly the rows of
+    ``EntityLinker(TripleExtractor(batch))`` called on the driver."""
     import pandas as pd
-    import ray
     import ray.data
 
     from climatemind_ontology_processing_ray import stages as S
-    from climatemind_ontology_processing_ray.ontology.fixture import (
-        build_fixture_snapshot,
-    )
-    from climatemind_ontology_processing_ray.sources.pages import generate_pages
     from climatemind_ontology_processing_ray.stages.fused import make_extract_link_fn
 
-    snap = build_fixture_snapshot()
-    table, _ = generate_pages(snap, 64, seed=13)
-    sj = snap.to_json()
+    table, _ = generate_pages(snapshot, 64, seed=13)
+    sj = snapshot.to_json()
     cols = ["subj_label", "obj_label", "predicate", "url"]
 
     def norm(df: pd.DataFrame) -> pd.DataFrame:
         return df[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
 
-    base = (
+    extracted = S.extract_pages_batch(table)
+    kernels = S.EntityLinker(snapshot_json=sj, threshold=0.85)(
+        S.TripleExtractor(snapshot_json=sj)(extracted)
+    )
+    piped = (
         ray.data.from_arrow(table)
         .repartition(4)
         .map_batches(S.extract_pages_batch, batch_format="pyarrow")
+        .map_batches(make_extract_link_fn(snapshot_json=sj, threshold=0.85), batch_format="pyarrow")
     )
-    pooled = base.map_batches(
-        S.TripleExtractor,
-        fn_constructor_kwargs={"snapshot_json": sj},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    ).map_batches(
-        S.EntityLinker,
-        fn_constructor_kwargs={"snapshot_json": sj, "threshold": 0.85},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    fused = base.map_batches(
-        make_extract_link_fn(snapshot_json=sj, threshold=0.85),
-        batch_format="pyarrow",
-    )
+    assert kernels.num_rows > 0
     pd.testing.assert_frame_equal(
-        norm(pooled.select_columns(cols).to_pandas()),
-        norm(fused.select_columns(cols).to_pandas()),
+        norm(kernels.select(cols).to_pandas()),
+        norm(piped.select_columns(cols).to_pandas()),
     )

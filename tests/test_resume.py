@@ -15,9 +15,6 @@ def _run(table, snapshot, ckpt_dir):
     import ray.data
 
     cfg = KGConfig(
-        extractor_concurrency=2,
-        linker_concurrency=1,
-        actor_num_cpus=0.5,
         batch_size=64,
         checkpoint_dir=ckpt_dir,
         run_key="test-run",
@@ -78,9 +75,6 @@ def test_stale_run_key_recomputes(ray_session, snapshot, table, tmp_path_factory
     ckpt = str(tmp_path_factory.mktemp("ckpt3"))
     _run(table, snapshot, ckpt)
     cfg = KGConfig(
-        extractor_concurrency=2,
-        linker_concurrency=1,
-        actor_num_cpus=0.5,
         batch_size=64,
         checkpoint_dir=ckpt,
         run_key="DIFFERENT",
@@ -138,9 +132,6 @@ def test_changed_ontology_invalidates_checkpoints(
     _run(table, snapshot, ckpt)
     other = build_fixture_snapshot(extra_chain_nodes=5)  # different ontology
     cfg = KGConfig(
-        extractor_concurrency=2,
-        linker_concurrency=1,
-        actor_num_cpus=0.5,
         batch_size=64,
         checkpoint_dir=ckpt,
         run_key="test-run",
@@ -171,6 +162,84 @@ def test_in_memory_corpus_fingerprint_covers_every_row(
     assert mgr.hits == []
 
 
+def test_output_config_invalidates_checkpoints(
+    ray_session, snapshot, table, tmp_path_factory
+):
+    """The run key folds in the config fields that change the output: a
+    custom extractor class, then a changed ``link_threshold``, run into the
+    default run's checkpoint dir do not resume its stages and return the
+    edges of their own config."""
+    import pyarrow as pa
+    import ray.data
+
+    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
+
+    class OnlyCausesExtractor(TripleExtractor):
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            out = super().__call__(batch)
+            return out.filter(
+                pa.compute.equal(out.column("predicate"), pa.scalar("causes_or_promotes"))
+            )
+
+    def run(ckpt, **changes):
+        cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run", **changes)
+        res = run_kg_pipeline(ray.data.from_arrow(table).repartition(4), snapshot, cfg)
+        rows = res.canonical_edges.take_all()
+        key = lambda r: (r["subject"], r["object"], r["predicate"])
+        return sorted((key(r), r["support"]) for r in rows), res.checkpoints
+
+    ckpt = str(tmp_path_factory.mktemp("ckpt_cfg"))
+    default, _ = run(ckpt)
+    assert {k[2] for k, _ in default} != {"causes_or_promotes"}
+
+    custom, mgr = run(ckpt, triple_extractor_cls=OnlyCausesExtractor)
+    assert {"partials", "canonical_edges"} <= set(mgr.misses)
+    assert custom and {k[2] for k, _ in custom} == {"causes_or_promotes"}
+
+    strict, mgr = run(ckpt, link_threshold=0.95)
+    assert {"partials", "canonical_edges"} <= set(mgr.misses)
+    fresh, _ = run(str(tmp_path_factory.mktemp("ckpt_strict")), link_threshold=0.95)
+    assert strict == fresh
+
+
+def test_file_fingerprint_sees_subsecond_rewrite(ray_session, snapshot, table, tmp_path):
+    """A pages file rewritten in place at the same size within the same
+    whole second (its mtime differs only in nanoseconds) does not resume
+    the old checkpoints."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    path = str(tmp_path / "pages.parquet")
+    ckpt = str(tmp_path / "ckpt")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run")
+
+    def write(t: pa.Table) -> None:
+        pq.write_table(
+            t, path, compression="none", use_dictionary=False, write_statistics=False
+        )
+
+    def run():
+        res = run_kg_pipeline(ray.data.read_parquet(path), snapshot, cfg)
+        res.canonical_edges.take_all()
+        return res.checkpoints
+
+    write(table)
+    assert run().misses == STAGES
+    before = os.stat(path)
+    text = table.column("text").to_pylist()
+    text[0] = ("X" if text[0][0] != "X" else "Y") + text[0][1:]
+    write(table.set_column(table.column_names.index("text"), "text", pa.array(text)))
+    sec, ns = divmod(before.st_mtime_ns, 10**9)
+    mtime_ns = sec * 10**9 + (ns + 1 if ns < 10**9 - 1 else ns - 1)
+    os.utime(path, ns=(before.st_atime_ns, mtime_ns))
+    after = os.stat(path)
+    assert after.st_size == before.st_size
+    assert int(after.st_mtime) == int(before.st_mtime)
+    assert after.st_mtime_ns != before.st_mtime_ns
+    assert run().misses == STAGES
+
+
 # --------------------------------------------------------------------- #
 # publish: staged, committed under one manifest, skipped on a matching
 # resume, repaired after a kill (state/publish.py)
@@ -187,9 +256,6 @@ def _publish(table, snapshot, out, ckpt, emit_mentions=False):
     from climatemind_ontology_processing_ray.pipelines.api import process_pages
 
     cfg = KGConfig(
-        extractor_concurrency=2,
-        linker_concurrency=1,
-        actor_num_cpus=0.5,
         batch_size=64,
         checkpoint_dir=ckpt,
         run_key="test-run",
@@ -332,7 +398,7 @@ def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tm
     from climatemind_ontology_processing_ray.pipelines.api import process_pages
     from climatemind_ontology_processing_ray.state import publish
 
-    cfg = KGConfig(extractor_concurrency=2, linker_concurrency=1, actor_num_cpus=0.5, batch_size=64)
+    cfg = KGConfig(batch_size=64)
     out = str(tmp_path)
     manifests = []
     for _ in range(2):
