@@ -330,34 +330,34 @@ def _solution_sources(node_attrs: dict) -> list[str]:
 
 
 def _process_adaptations(G: nx.DiGraph, B: nx.DiGraph) -> list[str]:
-    """make_graph_class.py:515-559, with the worst-case-exponential
-    ``all_simple_paths`` replaced by reach(root) ∩ coreach(effect) — on the
-    acyclic graph B the set of nodes lying on any simple root->effect path
-    is exactly {n : root ->* n and n ->* effect} (SURVEY §2.6 T7).
+    """make_graph_class.py:515-559.  Each effect downstream of the root
+    gets the inhibitors of the nodes on its simple root->effect paths.
 
-    The equivalence requires B to be a DAG.  ``_make_acyclic`` (matching
-    the reference, make_graph_class.py:395-431) only removes
-    feedback-loop -> greenhouse-gas/root-cause edges, which guarantees
-    acyclicity for the reference's curated ontology but NOT for arbitrary
-    web-extracted causal edges; when cycles remain we fall back to the
-    reference's exact (worst-case-exponential) ``all_simple_paths``
-    computation rather than silently over-counting intermediates."""
+    On a DAG those nodes are exactly reach(root) ∩ coreach(effect), which
+    replaces the reference's worst-case-exponential ``all_simple_paths``
+    (SURVEY §2.6 T7).  ``_make_acyclic`` (matching the reference,
+    make_graph_class.py:395-431) only removes feedback-loop ->
+    greenhouse-gas/root-cause edges: that guarantees acyclicity for the
+    reference's curated ontology but NOT for arbitrary web-extracted
+    causal edges, where reach ∩ coreach over-counts.  On a cyclic B the
+    reference's own ``all_simple_paths`` enumeration
+    (make_graph_class.py:522-524) picks the nodes instead."""
     if ROOT_NODE not in B:
         return []
-    if not nx.is_directed_acyclic_graph(B):
-        return _process_adaptations_simple_paths(G, B)
-    downstream = list(nx.descendants(B, ROOT_NODE) | {ROOT_NODE})
     # deterministic order: BFS layer then label
     order = {n: i for i, n in enumerate(_bfs_order(B, ROOT_NODE))}
-    downstream.sort(key=lambda n: (order.get(n, 1 << 30), n))
-    reach_root = set(nx.descendants(B, ROOT_NODE)) | {ROOT_NODE}
+    rank = lambda n: (order.get(n, 1 << 30), n)
+    reach_root = nx.descendants(B, ROOT_NODE) | {ROOT_NODE}
+    acyclic = nx.is_directed_acyclic_graph(B)
 
     total: list[str] = []
-    for effect in downstream:
-        coreach = set(nx.ancestors(B, effect)) | {effect}
-        intermediates = sorted(reach_root & coreach, key=lambda n: (order.get(n, 1 << 30), n))
+    for effect in sorted(reach_root, key=rank):
+        if acyclic:
+            on_path = reach_root & (nx.ancestors(B, effect) | {effect})
+        else:
+            on_path = {ROOT_NODE}.union(*nx.all_simple_paths(B, ROOT_NODE, effect))
         solutions: list[str] = []
-        for n in intermediates:
+        for n in sorted(on_path, key=rank):
             for nb in G.neighbors(n):  # reference scans the *full* graph G here
                 if G[n][nb]["type"] == INHIBITS:
                     solutions.append(nb)
@@ -366,37 +366,6 @@ def _process_adaptations(G: nx.DiGraph, B: nx.DiGraph) -> list[str]:
         for s in solutions:
             # unguarded in the reference (make_graph_class.py:551-557):
             # empty source lists are still written
-            G.nodes[s]["solution sources"] = _solution_sources(G.nodes[s])
-        total.extend(solutions)
-    return total
-
-
-def _process_adaptations_simple_paths(G: nx.DiGraph, B: nx.DiGraph) -> list[str]:
-    """Exact fallback for cyclic B: the reference's own per-effect
-    ``all_simple_paths`` enumeration (make_graph_class.py:522-524).  Only
-    reached when _make_acyclic left a cycle (possible with noisy
-    web-extracted edges); simple-path semantics are well-defined on cyclic
-    graphs, unlike the reach∩coreach shortcut."""
-    downstream = list(nx.descendants(B, ROOT_NODE) | {ROOT_NODE})
-    order = {n: i for i, n in enumerate(_bfs_order(B, ROOT_NODE))}
-    downstream.sort(key=lambda n: (order.get(n, 1 << 30), n))
-
-    total: list[str] = []
-    for effect in downstream:
-        on_path: set[str] = set()
-        for path in nx.all_simple_paths(B, ROOT_NODE, effect):
-            on_path.update(path)
-        if effect == ROOT_NODE:
-            on_path.add(ROOT_NODE)
-        intermediates = sorted(on_path, key=lambda n: (order.get(n, 1 << 30), n))
-        solutions: list[str] = []
-        for n in intermediates:
-            for nb in G.neighbors(n):
-                if G[n][nb]["type"] == INHIBITS:
-                    solutions.append(nb)
-        solutions = _dedup_keep_first(solutions)
-        G.nodes[effect]["adaptation solutions"] = solutions
-        for s in solutions:
             G.nodes[s]["solution sources"] = _solution_sources(G.nodes[s])
         total.extend(solutions)
     return total

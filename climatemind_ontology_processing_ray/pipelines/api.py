@@ -21,14 +21,24 @@ import hashlib
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts
 from ..graph.writers import write_all_artifacts
 from ..ontology.fixture import build_fixture_snapshot
 from ..ontology.schema import OntologySnapshot
-from ..stages.adjacency import build_adjacency
-from .kg import KGConfig, KGResult, canonical_edges_to_artifacts, run_kg_pipeline
+from ..stages.adjacency import adjacency_table
+from .kg import (
+    KGConfig,
+    KGResult,
+    canonical_edges_to_artifacts,
+    edge_table,
+    extract_pages,
+    run_kg_pipeline,
+)
 
 
 def _load_snapshot(snapshot: OntologySnapshot | str | None) -> OntologySnapshot:
@@ -65,8 +75,6 @@ def output_edges(
     # driver-side reachability on the ontology-sized edge table, then a
     # broadcast semi-join filter (the reference's `-source` DFS-root
     # restriction, make_network.py:72-76)
-    import ray
-
     rows = edges.select_columns(["subject", "object"]).to_pandas()
     adj: dict[str, list[str]] = {}
     for s, o in zip(rows["subject"], rows["object"]):
@@ -98,24 +106,12 @@ def extract_mentions(
     """The mentions table of SURVEY §1.3: pages -> extracted text -> mention
     rows (url, sent_id, surface, surface_norm, node_label, span_start/end)
     via the A1 automaton, built once per worker."""
-    from ..stages.extract import extract_pages_batch
     from ..stages.fused import per_worker
     from ..stages.mentions import MentionDetector
-    from .kg import lang_filter
 
     cfg = cfg or KGConfig()
     snap = _load_snapshot(snapshot)
-    extracted = lang_filter(
-        pages.map_batches(
-            extract_pages_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.batch_size,
-        ),
-        cfg.keep_langs,
-        cfg.min_text_chars,
-    )
-    return extracted.map_batches(
+    return extract_pages(pages, cfg).map_batches(
         per_worker(MentionDetector, snap.to_json()),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
@@ -172,6 +168,13 @@ def _publish_key(res: KGResult, emit_mentions: bool) -> str | None:
     return hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _write_table(table: pa.Table, out_dir: str) -> str:
+    """One driver-side table as a one-file Parquet directory."""
+    os.makedirs(out_dir)
+    pq.write_table(table, os.path.join(out_dir, "part-0.parquet"))
+    return out_dir
+
+
 def process_pages(
     pages: Dataset,
     output_dir: str,
@@ -179,10 +182,15 @@ def process_pages(
     cfg: KGConfig | None = None,
     emit_mentions: bool = False,
 ) -> tuple[GraphArtifacts, dict[str, str]]:
-    """Full lifecycle: front end -> adjacency partitions -> driver-side
-    enrichment -> all reference output files under ``output_dir``.
-    ``emit_mentions`` additionally materializes the mentions table
-    (SURVEY §1.3) as Parquet.
+    """Full lifecycle: front end -> driver-side back end -> all reference
+    output files under ``output_dir``.  ``emit_mentions`` additionally
+    materializes the mentions table (SURVEY §1.3) as Parquet.
+
+    The back end works on one driver-side Arrow table of canonical edges
+    (the graph is ontology-sized), read from the ``canonical_edges``
+    checkpoint or else collected once.  ``art``, the adjacency lists and
+    the node table are built from it and written with pyarrow; only
+    ``mentions/`` runs a Ray job of its own.
 
     Publish is one checkpointed, kill-safe stage (``state/publish.py``).
     Every output (``canonical_edges/``, ``adjacency/``, ``nodes/``, the
@@ -200,12 +208,9 @@ def process_pages(
     directory is committed, any other is deleted.  With a checkpoint dir,
     a run whose ``canonical_edges`` stage is a checkpoint hit and whose
     ``_PUBLISH.json`` has the same key, with every listed file matching
-    its size and md5, runs no publish job: it rebuilds ``art`` on the
-    driver from the canonical-edge checkpoint and returns the published
-    paths.  Without a checkpoint dir every run publishes."""
-    import ray.data
-
-    from ..graph.tables import graph_to_datasets
+    its size and md5, writes nothing: it returns ``art`` and the
+    published paths.  Without a checkpoint dir every run publishes."""
+    from ..graph.tables import nodes_table
     from ..state import publish
 
     snap = _load_snapshot(snapshot)
@@ -213,30 +218,24 @@ def process_pages(
     publish.repair(output_dir)
     res = run_kg_pipeline(pages, snap, cfg)
     key = _publish_key(res, emit_mentions)
+    if key is not None:
+        edges = edge_table(res.checkpoints.read_table("canonical_edges"))
+    else:
+        edges = edge_table(res.canonical_edges)
+    art = canonical_edges_to_artifacts(edges, snap)
     if key is not None and "canonical_edges" in res.checkpoints.hits:
         manifest = publish.verify(output_dir, key)
         if manifest is not None:
-            edges = res.checkpoints.read_table("canonical_edges")
-            return canonical_edges_to_artifacts(edges, snap), publish.resolve(
-                output_dir, manifest
-            )
+            return art, publish.resolve(output_dir, manifest)
 
     staging = publish.staging_dir(output_dir)  # repair left none behind
     os.makedirs(staging)
-    # web-scale outputs: canonical edges + adjacency partitions (Parquet)
-    edges_dir = os.path.join(staging, "canonical_edges")
-    adjacency_dir = os.path.join(staging, "adjacency")
-    res.canonical_edges.write_parquet(edges_dir)
-    canonical = ray.data.read_parquet(edges_dir)
-    build_adjacency(canonical).write_parquet(adjacency_dir)
-    # ontology-sized back end + reference file outputs
-    art = canonical_edges_to_artifacts(canonical, snap)
-    paths = write_all_artifacts(art, staging)
-    paths["canonical_edges"] = edges_dir
-    paths["adjacency"] = adjacency_dir
-    # graph tables in the data plane (nested Arrow schemas)
-    paths["nodes"] = os.path.join(staging, "nodes")
-    graph_to_datasets(art)["nodes"].write_parquet(paths["nodes"])
+    paths = {
+        "canonical_edges": _write_table(edges, os.path.join(staging, "canonical_edges")),
+        "adjacency": _write_table(adjacency_table(edges), os.path.join(staging, "adjacency")),
+    }
+    paths.update(write_all_artifacts(art, staging))
+    paths["nodes"] = _write_table(nodes_table(art), os.path.join(staging, "nodes"))
     if emit_mentions:
         paths["mentions"] = os.path.join(staging, "mentions")
         extract_mentions(pages, snap, cfg).write_parquet(paths["mentions"])

@@ -8,15 +8,20 @@
       -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
                                             automaton + index: extract,
                                             link and map-side combine
+      => checkpoint ``partials``
       -> canonicalize_partials              fan-in combine, then
                                             ONE groupby exchange
-      -> (optional) adjacency materialize + parquet sinks
-      -> driver-side graph enrichment       ontology-sized (SURVEY §7.0 (c))
+      => checkpoint ``canonical_edges``
+      -> driver-side back end               ontology-sized (SURVEY §7.0 (c)):
+                                            enrichment, adjacency, outputs
+                                            (``pipelines/api.py``)
 
-The first three steps fuse into one operator.  The stage boundaries
-(``extracted``, ``partials``, ``canonical_edges``) are Dataset -> Dataset
-steps (the reference's step-method surface, SURVEY §2.9), optionally
-checkpointed via CheckpointManager.
+The first three steps fuse into one operator, with or without
+checkpointing.  The two stage boundaries (``partials``,
+``canonical_edges``) are Dataset -> Dataset steps (the reference's
+step-method surface, SURVEY §2.9), optionally checkpointed via
+CheckpointManager.  Extracted text is not checkpointed: no resume reads
+it, and a rerun recomputes it from the pages.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
 from ..ontology.schema import OntologySnapshot
-from ..stages.canonicalize import canonicalize_partials
+from ..stages.canonicalize import TRIPLE_KEY, _empty_canonical, canonicalize_partials
 from ..stages.fused import make_fused_partials_fn
 from ..state.checkpoint import CheckpointManager
 from .. import stages as S
@@ -66,7 +72,7 @@ class KGResult:
     def stats(self) -> str:
         """Per-operator wall/cpu/memory breakdown of the executed pipeline
         (Ray Data ``Dataset.stats()``) — the observability hook used to tune
-        block sizes and pool widths."""
+        block and batch sizes."""
         return self.canonical_edges.stats()
 
 
@@ -98,6 +104,18 @@ def lang_filter(
         return keep_pages(batch, keep_langs, min_text_chars)
 
     return extracted.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def extract_pages(pages: Dataset, cfg: KGConfig) -> Dataset:
+    """pages -> extracted text -> lang/quality filter, lazy: the front of
+    the one front-end operator (and of ``api.extract_mentions``)."""
+    ds = pages.map_batches(
+        S.extract_pages_batch,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=cfg.batch_size,
+    )
+    return lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
 
 
 _DIGEST_MOD = 1 << 128
@@ -191,21 +209,11 @@ def run_kg_pipeline(
         fp = "nockpt"
     ckpt = CheckpointManager(cfg.checkpoint_dir, f"{cfg.run_key}:{fp}")
 
-    def _extracted() -> Dataset:
-        ds = pages.map_batches(
-            S.extract_pages_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.batch_size,
-        )
-        return lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
-
-    extracted = ckpt.stage("extracted", _extracted)
     # stateless tasks with per-worker cached state: fuses with the
     # read/extract/filter chain into ONE operator (see fused.py)
     partials = ckpt.stage(
         "partials",
-        lambda: extracted.map_batches(
+        lambda: extract_pages(pages, cfg).map_batches(
             make_fused_partials_fn(
                 snapshot_json=snapshot_json,
                 threshold=cfg.link_threshold,
@@ -225,18 +233,26 @@ def run_kg_pipeline(
     return KGResult(canonical_edges=canonical, checkpoints=ckpt, snapshot=snap, config=cfg)
 
 
+def edge_table(edges: Dataset | pa.Table) -> pa.Table:
+    """The canonical edges as one driver-side table (a Dataset is collected
+    in one Ray job).  Tables without columns (a zero-row checkpoint stage,
+    the schemaless empty blocks an exchange can leave) are dropped; no
+    rows at all give a typed empty."""
+    tables = ray.get(edges.to_arrow_refs()) if isinstance(edges, Dataset) else [edges]
+    tables = [t for t in tables if t.num_columns]
+    return pa.concat_tables(tables) if tables else _empty_canonical(TRIPLE_KEY)
+
+
 def canonical_edges_to_artifacts(
     canonical_edges: Dataset | pa.Table, snap: OntologySnapshot, min_support: int = 1
 ) -> GraphArtifacts:
     """Driver-side back end: collect the (ontology-sized) canonical edge
     table and run the reference enrichment recipe on it.  The triples are
-    sorted first, so the graph (and its pickles) is a function of the edge
-    set, not of the row order the exchange left."""
+    sorted first, and the table is converted in one piece (equal strings
+    of a column become one object), so the graph and its pickle bytes are
+    a function of the edge set, not of row order or block layout."""
     cols = ["subject", "object", "predicate", "support"]
-    if isinstance(canonical_edges, Dataset):
-        rows_df = canonical_edges.select_columns(cols).to_pandas()
-    else:
-        rows_df = canonical_edges.select(cols).to_pandas()
+    rows_df = edge_table(canonical_edges).select(cols).to_pandas()
     triples = sorted(
         (s, o, p)
         for s, o, p, sup in zip(

@@ -5,10 +5,16 @@ its two phases (``process_new_ontology_file.py:20-26``); this generalizes
 it (north_rule: "resumable from checkpoint with per-partition lineage +
 metrics so a killed run restarts from the last completed stage").
 
-Layout per stage::
+The KG pipeline checkpoints two stages, ``partials`` (the fused front
+end's map-side partials) and ``canonical_edges``; extracted text is
+recomputed from the pages, since no resume reads it.  Layout per stage::
 
     <root>/<stage>/part-*.parquet        (written to <stage>.tmp, then renamed)
     <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
+
+A stage without rows has no part files (Ray writes none) and a manifest
+with ``rows: 0`` and ``files: []``; a hit on it is an empty Dataset and
+``read_table`` gives a table with no rows and no columns.
 
 A stage whose manifest matches the run key is *not* recomputed — it is
 re-read with ``ray.data.read_parquet`` (hit counters exposed for tests).
@@ -18,22 +24,34 @@ the stage re-runs cleanly.
 The last stage, publish (``pipelines/api.py:process_pages``), is keyed on
 the ``canonical_edges`` manifest (its run key, which folds in the corpus
 and ontology fingerprints, and its file md5s), ``emit_mentions`` and the
-package version.  Its outputs are staged and committed under one
+package version.  It reads the canonical edges once on the driver with
+``read_table("canonical_edges")`` (pyarrow, no Ray job) and builds every
+output from that table.  Its outputs are staged and committed under one
 ``<output_dir>/_PUBLISH.json`` (``state/publish.py``); a run whose
 ``canonical_edges`` stage is a hit and whose published manifest has the
-same key and verifies file by file runs no publish job, and rebuilds the
-graph artifacts on the driver from ``read_table("canonical_edges")``.
+same key and verifies file by file writes nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
+import time
 from typing import Callable
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
+
+
+def _read(stage_dir: str, manifest: dict) -> "ray.data.Dataset":
+    """A completed stage as a Dataset; a stage without rows lists no
+    files and reads as an empty Dataset."""
+    if not manifest["files"]:
+        return ray.data.from_items([])
+    return ray.data.read_parquet(stage_dir)
 
 
 class CheckpointManager:
@@ -66,29 +84,26 @@ class CheckpointManager:
                     manifest = json.load(f)
                 if manifest.get("key") == self.run_key and manifest.get("complete"):
                     self.hits.append(stage)
-                    return ray.data.read_parquet(stage_dir)
+                    return _read(stage_dir, manifest)
             except (OSError, json.JSONDecodeError):
                 pass
         self.misses.append(stage)
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(stage_dir, ignore_errors=True)
-        import time
-
         t0 = time.perf_counter()
         ds = compute()
         ds.write_parquet(tmp_dir)
+        # Ray writes no file (and no directory) for a Dataset without
+        # rows: the stage is then recorded with no files
+        os.makedirs(tmp_dir, exist_ok=True)
         elapsed = time.perf_counter() - t0
         files = []
         total = 0
-        import pyarrow.parquet as pq
-
         for name in sorted(os.listdir(tmp_dir)):
             if not name.endswith(".parquet"):
                 continue
             fpath = os.path.join(tmp_dir, name)
             n = pq.read_metadata(fpath).num_rows
-            import hashlib
-
             h = hashlib.md5()
             with open(fpath, "rb") as fh:
                 for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -107,7 +122,7 @@ class CheckpointManager:
         with open(os.path.join(tmp_dir, "_MANIFEST.json"), "w") as f:
             json.dump(manifest, f, indent=1)
         os.rename(tmp_dir, stage_dir)  # atomic finalize
-        return ray.data.read_parquet(stage_dir)
+        return _read(stage_dir, manifest)
 
     def manifest(self, stage: str) -> dict | None:
         if not self.root:
@@ -120,9 +135,8 @@ class CheckpointManager:
 
     def read_table(self, stage: str) -> pa.Table:
         """A completed stage's rows, read on the driver with pyarrow (no
-        Ray job): the files its manifest lists."""
-        import pyarrow.parquet as pq
-
+        Ray job): the files its manifest lists (none: a table with no
+        rows and no columns)."""
         stage_dir, _, _ = self._paths(stage)
         files = [os.path.join(stage_dir, f["path"]) for f in self.manifest(stage)["files"]]
         return pq.read_table(files)

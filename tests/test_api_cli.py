@@ -106,8 +106,8 @@ def test_custom_extractor_extension(ray_session, snapshot, tmp_path, custom):
     res = run_kg_pipeline(pages, snapshot, cfg)
     rows = res.canonical_edges.take_all()
     assert rows and all(r["predicate"] == "causes_or_promotes" for r in rows)
-    assert res.checkpoints.misses == ["extracted", "partials", "canonical_edges"]
-    assert sorted(os.listdir(tmp_path)) == ["canonical_edges", "extracted", "partials"]
+    assert res.checkpoints.misses == ["partials", "canonical_edges"]
+    assert sorted(os.listdir(tmp_path)) == ["canonical_edges", "partials"]
 
 
 def test_worker_cache_keys_on_custom_classes(snapshot):

@@ -220,6 +220,33 @@ class TestEnrichment:
         assert "global warming" not in up
 
 
+def test_adaptations_on_a_cyclic_graph_follow_simple_paths():
+    """On a graph with a cycle, reach(root) ∩ coreach(effect) over-counts
+    the nodes on simple root->effect paths; each effect's adaptation
+    solutions are the inhibitors of exactly the nodes on those paths."""
+    from climatemind_ontology_processing_ray.graph.enrich import _process_adaptations
+    from climatemind_ontology_processing_ray.ontology.vocab import ROOT_NODE
+
+    G = nx.DiGraph()
+    G.add_edge(ROOT_NODE, "a", type=CAUSES)
+    G.add_edge("a", "b", type=CAUSES)
+    G.add_edge("b", "c", type=CAUSES)
+    G.add_edge("c", "a", type=CAUSES)  # the cycle a -> b -> c -> a
+    for n in (ROOT_NODE, "a", "b", "c"):
+        G.add_edge(n, f"stop {n}", type=INHIBITS)
+    B = G.copy()
+    assert not nx.is_directed_acyclic_graph(B)
+
+    reach = nx.descendants(B, ROOT_NODE) | {ROOT_NODE}
+    assert "c" in reach & (nx.ancestors(B, "b") | {"b"})  # over-counted for b
+    _process_adaptations(G, B)
+    for effect in reach:
+        on_path = {ROOT_NODE}.union(*nx.all_simple_paths(B, ROOT_NODE, effect))
+        expected = {nb for n in on_path for nb in G[n] if G[n][nb]["type"] == INHIBITS}
+        assert sorted(G.nodes[effect]["adaptation solutions"]) == sorted(expected)
+    assert "stop c" not in G.nodes["b"]["adaptation solutions"]
+
+
 def test_error_channel_non_strict(snapshot, golden):
     """Validation error channel: a node with opposing value vectors aborts
     a strict build (reference behavior) but is recorded and skipped with

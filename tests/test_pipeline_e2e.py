@@ -160,6 +160,78 @@ def test_adjacency_materialize(ray_session, snapshot, pages_and_info):
     assert all(e["support"] >= 1 for e in row["edges"])
 
 
+def test_adjacency_kernel_matches_pipeline_and_naive_grouping(
+    ray_session, snapshot, pages_and_info
+):
+    """``adjacency_table`` on the driver (no Ray) equals the pipeline's
+    ``build_adjacency`` rows and a naive Python grouping of the same
+    canonical edges, with the written schema field by field."""
+    from climatemind_ontology_processing_ray.stages.adjacency import (
+        adjacency_table,
+        build_adjacency,
+    )
+
+    table, _ = pages_and_info
+    _, res = _run(table, snapshot)
+    edges = pa.Table.from_pylist(res.canonical_edges.take_all())
+    adj = adjacency_table(edges)
+
+    edge_type = pa.struct(
+        [
+            ("object", pa.string()),
+            ("predicate", pa.string()),
+            ("sources", pa.list_(pa.string())),
+            ("support", pa.int64()),
+        ]
+    )
+    assert [(f.name, f.type) for f in adj.schema] == [
+        ("subject", pa.string()),
+        ("degree", pa.int64()),
+        ("edges", pa.list_(edge_type)),
+    ]
+    assert [f.name for f in adj.schema.field("edges").type.value_type] == [
+        "object", "predicate", "sources", "support"
+    ]
+
+    naive: dict[str, list[dict]] = {}
+    for r in sorted(edges.to_pylist(), key=lambda r: (r["subject"], r["object"], r["predicate"])):
+        naive.setdefault(r["subject"], []).append(
+            {k: r[k] for k in ("object", "predicate", "sources", "support")}
+        )
+    expected = [
+        {"subject": s, "degree": len(es), "edges": es} for s, es in sorted(naive.items())
+    ]
+    assert len(expected) > 1
+    assert adj.to_pylist() == expected
+    piped = build_adjacency(res.canonical_edges).take_all()
+    assert sorted(piped, key=lambda r: r["subject"]) == expected
+
+
+def test_artifact_pickles_are_a_function_of_the_edge_set(
+    ray_session, snapshot, pages_and_info
+):
+    """The graph pickles do not depend on the edge table's row order, its
+    chunking or the blocks of an edge Dataset: only on its rows."""
+    import pickle
+
+    import ray.data
+
+    table, _ = pages_and_info
+    edges = pa.Table.from_pylist(_kernel_edges(table, snapshot, KGConfig(batch_size=64)))
+    chunks = [edges.slice(i, 7) for i in range(0, edges.num_rows, 7)][::-1]
+    reordered = pa.concat_tables(chunks)
+    assert reordered.column("subject").num_chunks > 1
+    assert not reordered.equals(edges)
+
+    def dumps(edges) -> tuple[bytes, bytes]:
+        art = canonical_edges_to_artifacts(edges, snapshot)
+        return pickle.dumps(art.G), pickle.dumps(art.subgraphs)
+
+    expected = dumps(edges.combine_chunks())
+    assert dumps(reordered) == expected
+    assert dumps(ray.data.from_arrow(chunks)) == expected
+
+
 def test_driver_side_artifacts_from_pipeline_edges(
     ray_session, snapshot, golden, pages_and_info
 ):

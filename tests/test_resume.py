@@ -8,7 +8,7 @@ import pytest
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig, run_kg_pipeline
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
 
-STAGES = ["extracted", "partials", "canonical_edges"]
+STAGES = ["partials", "canonical_edges"]
 
 
 def _run(table, snapshot, ckpt_dir):
@@ -64,7 +64,7 @@ def test_kill_mid_stage_recovers(ray_session, snapshot, table, tmp_path_factory)
     # simulate kill during canonical_edges write: wipe its finalized dir
     shutil.rmtree(os.path.join(ckpt, "canonical_edges"))
     out2, mgr = _run(table, snapshot, ckpt)
-    assert mgr.hits == ["extracted", "partials"]
+    assert mgr.hits == ["partials"]
     assert mgr.misses == ["canonical_edges"]
     assert out1 == out2
 
@@ -264,6 +264,18 @@ def _publish(table, snapshot, out, ckpt, emit_mentions=False):
     return process_pages(pages, out, snapshot=snapshot, cfg=cfg, emit_mentions=emit_mentions)
 
 
+def _patch_writers(monkeypatch, write) -> None:
+    """Route both publish writers through ``write``: the driver-side table
+    writer (edges, adjacency, nodes) and ``Dataset.write_parquet``
+    (mentions, checkpoints)."""
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines import api
+
+    monkeypatch.setattr(api, "_write_table", write)
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
+
+
 def _outputs(out: str) -> dict:
     """Every published entry: a file's bytes, a Parquet dir's sorted rows
     (Ray names part files uniquely per run)."""
@@ -337,15 +349,14 @@ def test_warm_publish_is_skipped(published, snapshot, table, monkeypatch):
     file keeps its inode and mtime, the same paths come back and the
     graph equals the cold run's."""
     import networkx as nx
-    import ray.data
 
     out = published["old"]["out"]
     before = _identity(out)
 
     def no_write(*a, **k):
-        raise AssertionError("a skipped publish wrote a Dataset")
+        raise AssertionError("a skipped publish wrote a table")
 
-    monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_write)
+    _patch_writers(monkeypatch, no_write)
     art, paths = _publish(table, snapshot, out, published["ckpt"])
     assert _identity(out) == before
     assert paths == published["old"]["paths"]
@@ -409,8 +420,9 @@ def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tm
 
 
 # a kill at each step of a publish that replaces ``old`` by ``new``:
-# after each staged output (edges, adjacency, reference files, nodes,
-# mentions), at each rename (staged manifest seal, the 8 entry moves, the
+# after each staged output (edges, adjacency and nodes by the table
+# writer, the reference files, mentions by ``Dataset.write_parquet``), at
+# each rename (staged manifest seal, the 8 entry moves, the
 # manifest move) and after the commit before staging cleanup
 KILL_POINTS = (
     [("staged_write", n) for n in range(1, 6)]
@@ -444,7 +456,13 @@ def test_killed_publish_leaves_one_complete_set(
             raise Killed(f"{point} {n}")
 
     if point == "staged_write":
-        real_write, real_artifacts = ray.data.Dataset.write_parquet, api.write_all_artifacts
+        real_table, real_write = api._write_table, ray.data.Dataset.write_parquet
+        real_artifacts = api.write_all_artifacts
+
+        def write_table(*a, **k):
+            path = real_table(*a, **k)
+            count_then_kill()
+            return path
 
         def write(self, *a, **k):
             real_write(self, *a, **k)
@@ -455,6 +473,7 @@ def test_killed_publish_leaves_one_complete_set(
             count_then_kill()
             return paths
 
+        monkeypatch.setattr(api, "_write_table", write_table)
         monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
         monkeypatch.setattr(api, "write_all_artifacts", artifacts)
     elif point == "move":
@@ -483,13 +502,82 @@ def test_killed_publish_leaves_one_complete_set(
     if point == "cleanup" or (point == "move" and n > 1):
         # the staged set was sealed: the next run rolls it forward (or
         # finds it committed), then finds it matching, so it writes no
-        # Dataset at all
+        # table at all
         def no_write(*a, **k):
             raise AssertionError("a sealed staged set was not rolled forward")
 
-        monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_write)
+        _patch_writers(monkeypatch, no_write)
     _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
     monkeypatch.undo()
     assert not os.path.exists(publish.staging_dir(out))
     assert _published_key(out) == published["new"]["key"]
     assert _outputs(out) == _outputs(published["new"]["out"])
+
+
+def test_cold_publish_writes_only_the_checkpoints(
+    ray_session, snapshot, table, tmp_path, monkeypatch
+):
+    """A cold checkpointed publish without mentions runs the two
+    checkpoint writes and no Ray Data job after them: the back end works
+    on the driver-side edge table.  The warm run writes no Dataset."""
+    import ray.data
+
+    calls = []
+    real_write = ray.data.Dataset.write_parquet
+
+    def write(self, path, *a, **k):
+        calls.append(os.path.basename(path))
+        return real_write(self, path, *a, **k)
+
+    def no_collect(*a, **k):
+        raise AssertionError("a checkpointed publish collected a Dataset")
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
+    monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs", no_collect)
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", no_collect)
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    _publish(table, snapshot, out, ckpt)
+    assert calls == ["partials.tmp", "canonical_edges.tmp"]
+    calls.clear()
+    _publish(table, snapshot, out, ckpt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["no_english_page", "link_threshold_above_1"])
+def test_empty_stages_checkpoint_and_publish(
+    ray_session, snapshot, table, tmp_path, case
+):
+    """A run whose stages have no rows (no English page, or a link
+    threshold no match reaches) checkpoints them as zero-row stages: the
+    cold and the warm ``run_kg_pipeline`` and ``process_pages`` complete
+    with no edges, and the warm runs hit every stage."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+
+    if case == "no_english_page":
+        table = table.filter(pc.not_equal(table.column("lang"), "en"))
+        assert table.num_rows
+        changes = {}
+    else:
+        changes = {"link_threshold": 1.01}
+    cfg = KGConfig(
+        batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run", **changes
+    )
+    out = str(tmp_path / "out")
+
+    def pages():
+        return ray.data.from_arrow(table).repartition(4)
+
+    for warm in (False, True):
+        res = run_kg_pipeline(pages(), snapshot, cfg)
+        assert res.canonical_edges.take_all() == []
+        assert res.checkpoints.hits == (STAGES if warm else [])
+        assert res.checkpoints.read_table("canonical_edges").num_rows == 0
+        art, paths = process_pages(pages(), out, snapshot=snapshot, cfg=cfg)
+        assert art.G.number_of_edges() == 0
+        for name in ("canonical_edges", "adjacency"):
+            assert pq.read_table(paths[name]).num_rows == 0
+        assert _published_key(out) is not None
