@@ -14,11 +14,14 @@ cited by file:line throughout) as an idiomatic Ray Data pipeline:
                                            index built once per worker: causal
                                            triples, entity links, map-side
                                            combine]
-      -> fan-in combine + ONE groupby (subject,object,predicate) exchange:
-         dedup + support/source aggregation
-      -> sorted groupby(subject) adjacency partitions  [Parquet sink]
-      -> driver-side graph enrichment on the (small) canonical edge table,
-         mirroring the reference's make_graph/process_* semantics.
+      -> fan-in combine in tasks + ONE final merge task on
+         (subject,object,predicate): dedup + support/source aggregation,
+         no exchange (the key space is ontology-sized, labels² x
+         predicates; the task gets <= ceil(partial rows / fan-in rows)
+         rows per key)
+      -> one driver-side canonical edge table: adjacency lists, node
+         table and graph enrichment, mirroring the reference's
+         make_graph/process_* semantics, all written with pyarrow.
 
 Nothing here calls ray.init()/ray.shutdown(); sessions are owned by the
 caller (bench.py, CLI, test fixture, or the evaluation driver).

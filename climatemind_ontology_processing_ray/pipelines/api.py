@@ -22,6 +22,7 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
@@ -72,12 +73,12 @@ def output_edges(
     if source is None:
         return edges
 
-    # driver-side reachability on the ontology-sized edge table, then a
-    # broadcast semi-join filter (the reference's `-source` DFS-root
-    # restriction, make_network.py:72-76)
-    rows = edges.select_columns(["subject", "object"]).to_pandas()
+    # driver-side reachability on the ontology-sized edge table, collected
+    # once, then the same table filtered on the driver (the reference's
+    # `-source` DFS-root restriction, make_network.py:72-76)
+    table = edge_table(edges)
     adj: dict[str, list[str]] = {}
-    for s, o in zip(rows["subject"], rows["object"]):
+    for s, o in zip(table.column("subject").to_pylist(), table.column("object").to_pylist()):
         adj.setdefault(s, []).append(o)
     reach = {source}
     stack = [source]
@@ -86,16 +87,8 @@ def output_edges(
             if nb not in reach:
                 reach.add(nb)
                 stack.append(nb)
-    reach_ref = ray.put(reach)
-
-    def keep(batch):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        keep_set = pa.array(sorted(ray.get(reach_ref)), pa.string())
-        return batch.filter(pc.is_in(batch.column("subject"), value_set=keep_set))
-
-    return edges.map_batches(keep, batch_format="pyarrow")
+    keep = pc.is_in(table.column("subject"), value_set=pa.array(sorted(reach), pa.string()))
+    return ray.data.from_arrow(table.filter(keep))
 
 
 def extract_mentions(
@@ -124,7 +117,7 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
 
     Because canonicalization is a sum/union aggregation, processing a corpus
     in k batches and merging equals processing it at once (tested).  The
-    merge is the canonicalization exchange itself
+    merge is the canonicalization reduction itself
     (stages/canonicalize.py: canonicalize_partials): canonical rows are
     partials with one row per key.
     """

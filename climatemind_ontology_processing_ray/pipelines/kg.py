@@ -9,8 +9,12 @@
                                             automaton + index: extract,
                                             link and map-side combine
       => checkpoint ``partials``
-      -> canonicalize_partials              fan-in combine, then
-                                            ONE groupby exchange
+      -> canonicalize_partials              fan-in combine in tasks, then
+                                            ONE final merge task (no
+                                            exchange: the key space is
+                                            ontology-sized, and the task
+                                            gets <= ceil(partial rows /
+                                            fan-in rows) rows per key)
       => checkpoint ``canonical_edges``
       -> driver-side back end               ontology-sized (SURVEY §7.0 (c)):
                                             enrichment, adjacency, outputs
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
@@ -235,10 +238,14 @@ def run_kg_pipeline(
 
 def edge_table(edges: Dataset | pa.Table) -> pa.Table:
     """The canonical edges as one driver-side table (a Dataset is collected
-    in one Ray job).  Tables without columns (a zero-row checkpoint stage,
-    the schemaless empty blocks an exchange can leave) are dropped; no
+    in one Ray Data execution: ``iter_batches``, not ``to_arrow_refs``,
+    which re-runs a lazy plan for its schema).  Tables without columns (a
+    zero-row checkpoint stage, a schemaless empty block) are dropped; no
     rows at all give a typed empty."""
-    tables = ray.get(edges.to_arrow_refs()) if isinstance(edges, Dataset) else [edges]
+    if isinstance(edges, Dataset):
+        tables = list(edges.iter_batches(batch_format="pyarrow", batch_size=None))
+    else:
+        tables = [edges]
     tables = [t for t in tables if t.num_columns]
     return pa.concat_tables(tables) if tables else _empty_canonical(TRIPLE_KEY)
 

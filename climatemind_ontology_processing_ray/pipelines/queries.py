@@ -654,8 +654,9 @@ ORDER BY ROUND(SUM(value),2) DESC, user_id ASC LIMIT 10
 
 
 def q_mention_counts(sf_dir: str):
-    """The mention-canonicalization shuffle itself (salted two-phase count
-    on surface_norm), SQL-mirrored by exact word counting."""
+    """The mention canonicalization itself (per-block counts on
+    surface_norm, summed in tasks and then in one final task),
+    SQL-mirrored by exact word counting."""
     from ..stages.canonicalize import canonicalize_mentions
     from ..stages.mentions import MentionDetector
 
@@ -686,7 +687,7 @@ def q_mention_counts(sf_dir: str):
         concurrency=2,
         num_cpus=0.5,
     )
-    out = canonicalize_mentions(mentions, num_salts=8).to_pandas()
+    out = canonicalize_mentions(mentions).to_pandas()
     out["n_mentions"] = out["n_mentions"].astype("int64")
     return out.rename(columns={"surface_norm": "term"})[["term", "n_mentions"]]
 

@@ -1,37 +1,36 @@
-"""Canonicalization exchanges (SURVEY §7.3; north_star "groupby-aggregate
-shuffle on normalized surface-form keys with explicit salting for
-head-entity skew").
+"""Canonicalization reductions (SURVEY §7.3).
 
-Canonical edges come from ONE exchange keyed on (subject, object,
-predicate).  Head-entity skew is handled by combining before it, not by a
-salted second exchange:
+The key space is bounded by the ontology: canonical edges are keyed on
+(subject, object, predicate) over linked node labels, so there are at most
+labels² × predicates of them (SURVEY §7.0 (c)), and mention counts are
+keyed on the ontology's surface forms.  Both reductions therefore share
+one shape, :func:`_reduce_once`, with no exchange, no ``Sort`` and no
+salt:
 
 1. **map-side combine** (:func:`partial_triple_agg_arrow`, fused into the
    front end) — one partial row per key per upstream batch.  A head key
    ("climate change" appears on >=20% of pages) shrinks from one row per
    occurrence to one row per batch.
-2. **fan-in combine** — one ``map_batches(batch_size=fanin_rows)`` merges
-   the partials again and tags each row with its hash partition
-   ``__part``.  Any key, however hot, enters the exchange as at most one
-   row per fan-in batch: its one reducer receives at most
-   ``ceil(partial rows / fanin_rows)`` rows for it when upstream blocks
-   pack evenly into batches, and each combine task adds at most one short
-   batch otherwise
+2. **fan-in combine** — ``map_batches(merge, batch_size=fanin_rows)``
+   merges the partials again in tasks.
+3. **final merge** — ``repartition(1)`` and one ``map_batches(merge,
+   batch_size=None)``: a single task merges every fan-in output.  Its
+   input is at most ``ceil(partial rows / fanin_rows)`` rows per key when
+   upstream blocks pack evenly into batches (each combine task adds at
+   most one short batch otherwise), so at most that many times the
+   number of distinct keys
    (``tests/test_canonicalize.py::test_hot_key_reducer_rows_bounded``).
-3. **exchange** — ``groupby("__part").map_groups`` merges each partition
-   with the same Arrow kernel, :func:`_merge_arrow`.
 
-Every merge is associative (support is a sum; sources keep the
+Every merge is associative (support and counts are sums; sources keep the
 ``sources_cap`` smallest distinct urls, a top-k monoid), so the output rows
-do not depend on batch boundaries, fan-in size or partition count (their
-order does).  The
-partials still carry a ``salt`` column (a hash of the first source url);
-nothing in the exchange reads it.
-
-:func:`canonicalize_mentions` keeps a two-phase salted ``Sum`` aggregation.
+do not depend on batch boundaries or fan-in size (their order does).  The
+triple partials still carry a ``salt`` column (a hash of the first source
+url); nothing here reads it.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -39,9 +38,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Sum
-
-from .partitioning import adaptive_parts
 
 TRIPLE_KEY = ["subject", "object", "predicate"]
 
@@ -167,6 +163,7 @@ def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
     return pa.table(out)
 
 
+# only perfbench's traced shuffle_layer calls this; it goes with salt (ROADMAP item 2)
 def _part_tag_arrow(batch: pa.Table, cols: list[str], num_parts: int) -> pa.Table:
     """Append the partition-id column without leaving Arrow: per-column
     fixed-key hash (pd.util.hash_array — Cython, PYTHONHASHSEED-free, the
@@ -238,64 +235,47 @@ def partial_triple_agg_arrow(
 
 
 # fan-in batch size: Ray bundles upstream partial blocks until a combine
-# task holds this many rows, so the exchange sees FEW large blocks instead
-# of one tiny block per upstream task, and a hot key at most one row per
-# batch.  Sized so several combine tasks stream DURING the extract stage
-# instead of one combine acting as a pseudo-barrier after it (measured at
-# 16 cpus: 65k rows = 1 task waiting on ~all upstream blocks added ~1-2s
-# of serial tail; 16k rows = ~4 overlapped tasks).
+# task holds this many rows, so the final merge task receives FEW combined
+# blocks instead of one tiny block per upstream task, and a hot key at most
+# one row per batch.  Sized so several combine tasks stream DURING the
+# extract stage instead of one combine acting as a pseudo-barrier after it
+# (measured at 16 cpus: 65k rows = 1 task waiting on ~all upstream blocks
+# added ~1-2s of serial tail; 16k rows = ~4 overlapped tasks).
 _FANIN_ROWS = 16_384
 
 
-def exchange_rows(
-    partials: Dataset,
-    sources_cap: int = 8,
+def _reduce_once(
+    ds: Dataset,
+    merge: Callable[[pa.Table], pa.Table],
     fanin_rows: int = _FANIN_ROWS,
-    num_parts: int | None = None,
+    final: Callable[[pa.Table], pa.Table] | None = None,
 ) -> Dataset:
-    """The rows that enter the canonicalization exchange: partials merged
-    per ``fanin_rows``-row batch and tagged with their ``__part`` out of
-    ``num_parts`` (default: scaled to the input row estimate,
-    ``stages/partitioning.py``)."""
-    if num_parts is None:
-        num_parts = adaptive_parts(partials)
-
-    def combine_and_tag(b: pa.Table) -> pa.Table:
-        return _part_tag_arrow(
-            _merge_arrow(b, TRIPLE_KEY, sources_cap), TRIPLE_KEY, num_parts
-        )
-
-    # num_cpus=0.5 keeps this stage UNFUSED from the upstream heavy map
+    """The one reduction shape: ``merge`` combines ``fanin_rows``-row
+    batches in tasks, then ``final`` (default ``merge``) merges all of
+    their outputs in a single task.  Lazy; the output is one block."""
+    # num_cpus=0.5 keeps the fan-in UNFUSED from the upstream heavy map
     # (fusion would bundle the extractor's inputs up to fanin_rows pages
     # per task, wrecking its task granularity)
-    return partials.map_batches(
-        combine_and_tag,
-        batch_format="pyarrow",
-        batch_size=fanin_rows,
-        num_cpus=0.5,
+    return (
+        ds.map_batches(
+            merge, batch_format="pyarrow", batch_size=fanin_rows, num_cpus=0.5
+        )
+        .repartition(1)
+        .map_batches(final or merge, batch_format="pyarrow", batch_size=None)
     )
 
 
 def canonicalize_partials(
-    partials: Dataset,
-    sources_cap: int = 8,
-    fanin_rows: int = _FANIN_ROWS,
-    num_parts: int | None = None,
+    partials: Dataset, sources_cap: int = 8, fanin_rows: int = _FANIN_ROWS
 ) -> Dataset:
     """Partial (or already canonical) edge rows -> canonical edge table:
-    the fan-in combine of :func:`exchange_rows`, then one sort-based
-    ``groupby("__part")`` whose reducers merge with :func:`_merge_arrow`.
-    Arrow end to end; the output rows (not their order) never depend on
-    ``fanin_rows`` or ``num_parts``."""
+    :func:`_reduce_once` with :func:`_merge_arrow`.  Arrow end to end; the
+    output rows (not their order) never depend on ``fanin_rows``."""
 
     def merge(g: pa.Table) -> pa.Table:
         return _merge_arrow(g, TRIPLE_KEY, sources_cap)
 
-    return (
-        exchange_rows(partials, sources_cap, fanin_rows, num_parts)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return _reduce_once(partials, merge, fanin_rows)
 
 
 def canonicalize_triples(
@@ -323,56 +303,49 @@ def canonicalize_triples(
     return canonicalize_partials(partials, sources_cap)
 
 
-def canonicalize_mentions(
-    mentions: Dataset,
-    num_salts: int = 16,
-    surface_index: dict[str, str] | None = None,
-) -> Dataset:
-    """mention rows -> per-surface-form counts: the mention-canonicalization
-    shuffle keyed on ``surface_norm``.
+def _count_merge(batch: pa.Table) -> pa.Table:
+    """Sum ``n_mentions`` per ``surface_norm``; a typed empty for a
+    schemaless block."""
+    if batch.num_rows == 0 or "n_mentions" not in batch.column_names:
+        return pa.table(
+            {"surface_norm": pa.array([], pa.string()), "n_mentions": pa.array([], pa.int64())}
+        )
+    agg = batch.group_by("surface_norm", use_threads=False).aggregate(
+        [("n_mentions", "sum")]
+    )
+    return agg.select(["surface_norm", "n_mentions_sum"]).rename_columns(
+        ["surface_norm", "n_mentions"]
+    )
 
-    Output: surface_norm, n_mentions (int64) and — when the (small,
-    broadcast) ``surface_index`` is given — node_label (nullable).
-    Pure ``Sum`` aggregation; partial counts are pre-combined per batch so
-    the exchange carries at most (#blocks x #salts) rows per key, and the
-    salted stage splits each hot key over ``num_salts`` reducers.
-    ``node_label`` is functionally dependent on ``surface_norm``, so it is
-    re-attached after aggregation by broadcast lookup instead of being
-    shuffled alongside every row.
+
+def canonicalize_mentions(
+    mentions: Dataset, surface_index: dict[str, str] | None = None
+) -> Dataset:
+    """mention rows -> per-surface-form counts, keyed on ``surface_norm``
+    (an ontology surface form, so the key space is ontology-sized).
+
+    Output: surface_norm, n_mentions (int64) and — when ``surface_index``
+    is given — node_label (nullable), sorted by surface_norm.  Each block
+    is counted with a pyarrow ``group_by``, then the counts are summed by
+    :func:`_reduce_once`.  ``node_label`` is functionally dependent on
+    ``surface_norm``, so the final task looks it up in the (ontology-sized)
+    ``surface_index`` it carries in its closure.
     """
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "surface_norm": batch["surface_norm"],
-                "salt": _salt_vec(batch["url"].to_numpy(dtype=object), num_salts),
-            }
+    def partial(batch: pa.Table) -> pa.Table:
+        agg = batch.group_by("surface_norm", use_threads=False).aggregate(
+            [([], "count_all")]
         )
-        return (
-            df.groupby(["surface_norm", "salt"], sort=False)
-            .size()
-            .rename("partial_count")
-            .reset_index()
+        return agg.select(["surface_norm", "count_all"]).rename_columns(
+            ["surface_norm", "n_mentions"]
         )
 
-    partials = mentions.map_batches(partial, batch_format="pandas")
-    salted = partials.groupby(["surface_norm", "salt"]).aggregate(
-        Sum("partial_count", alias_name="salted_count")
-    )
-    final = salted.groupby("surface_norm").aggregate(
-        Sum("salted_count", alias_name="n_mentions")
-    )
-    if surface_index is None:
-        return final
+    def final(batch: pa.Table) -> pa.Table:
+        out = _count_merge(batch).sort_by("surface_norm")
+        if surface_index is None:
+            return out
+        labels = [surface_index.get(s) for s in out.column("surface_norm").to_pylist()]
+        return out.append_column("node_label", pa.array(labels, pa.string()))
 
-    import ray
-
-    index_ref = ray.put(surface_index)
-
-    def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        # one get per (few, post-exchange) block of an ontology-sized dict
-        idx = ray.get(index_ref)
-        batch["node_label"] = [idx.get(s) for s in batch["surface_norm"]]
-        return batch
-
-    return final.map_batches(attach, batch_format="pandas")
+    partials = mentions.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return _reduce_once(partials, _count_merge, final=final)

@@ -9,7 +9,7 @@ extractor, the linker and ``partial_triple_agg_arrow`` inside one
 executor fuses it with its upstream tasks and the pipeline plan is
 
     read -> [extract -> lang filter -> THIS] (one fused operator)
-         -> fan-in combine + tag -> one groupby exchange
+         -> fan-in combine -> one final merge task
 
 The extractor and linker classes are parameters (the extension surface,
 SURVEY §2.9): a custom class runs inside the same operator.

@@ -38,3 +38,25 @@ def golden(snapshot):
     from climatemind_ontology_processing_ray.ontology import golden_edge_set
 
     return golden_edge_set(snapshot)
+
+
+@pytest.fixture
+def ray_executions(monkeypatch):
+    """Every Ray Data execution the test starts, as the names of its
+    physical operators (counted at ``StreamingExecutor.execute``)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs: list[list[str]] = []
+    real = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        names, stack = [], [dag]
+        while stack:
+            op = stack.pop()
+            names.append(op.name)
+            stack.extend(op.input_dependencies)
+        runs.append(names)
+        return real(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return runs

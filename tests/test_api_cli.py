@@ -32,15 +32,20 @@ def test_process_pages_full_outputs(ray_session, snapshot, tmp_path):
     assert art.G.nodes["increase in greenhouse effect"]["mitigation solutions"]
 
 
-def test_output_edges_source_restriction(ray_session, snapshot):
+def test_output_edges_source_restriction(ray_session, snapshot, ray_executions):
+    """The ``source`` restriction keeps the component reachable from it and
+    runs the front end (the executions that read the pages) once."""
     import ray.data
 
     table, _ = generate_pages(snapshot, 200, seed=13)
     pages = ray.data.from_arrow(table).repartition(4)
     all_edges = output_edges(pages, snapshot=snapshot, cfg=CFG).take_all()
+    ray_executions.clear()
     scoped = output_edges(
         pages, snapshot=snapshot, cfg=CFG, source="sea level rise"
     ).take_all()
+    front_end = [r for r in ray_executions if any("extract_pages_batch" in n for n in r)]
+    assert len(front_end) == 1, ray_executions
     assert 0 < len(scoped) < len(all_edges)
     subjects = {r["subject"] for r in scoped}
     assert "burning of fossil fuels" not in subjects  # upstream of source

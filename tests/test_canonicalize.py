@@ -1,6 +1,7 @@
-"""The canonicalization exchange (stages/canonicalize.py): the hot-key
-bound of the map-side + fan-in combines, output invariance under fan-in
-size and partition count, incremental merge, and the one-Sort plan."""
+"""The canonicalization reductions (stages/canonicalize.py): the hot-key
+bound of the map-side + fan-in combines on the single merge task's input,
+output invariance under fan-in size, incremental merge, and plans with no
+Sort."""
 
 import math
 import re
@@ -13,9 +14,11 @@ import pytest
 from climatemind_ontology_processing_ray.stages.canonicalize import (
     TRIPLE_KEY,
     _FANIN_ROWS,
+    _merge_arrow,
+    _reduce_once,
+    canonicalize_mentions,
     canonicalize_partials,
     canonicalize_triples,
-    exchange_rows,
     partial_triple_agg_arrow,
 )
 
@@ -59,10 +62,13 @@ def _partials(blocks):
 
 
 def _tables(ds) -> list[pa.Table]:
-    """The Dataset's blocks; an empty reducer may emit a schemaless one."""
-    import ray
-
-    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    """The Dataset's blocks, collected in one execution; an empty block may
+    be schemaless."""
+    return [
+        t
+        for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_columns
+    ]
 
 
 def _rows(ds) -> list[tuple]:
@@ -105,8 +111,8 @@ def _reference(blocks) -> list[tuple]:
 
 
 def test_hot_key_reducer_rows_bounded(ray_session, linked_blocks):
-    """Skew bound of the single exchange: with many fan-in batches, a triple
-    on 60% of the rows reaches its one reducer as at most
+    """Skew bound of the single merge task: with many fan-in batches, a
+    triple on 60% of the rows enters it as at most
     ceil(partial rows / fanin_rows) rows — one per fan-in batch, not one
     per upstream block or per occurrence — and the output still equals the
     group_by reference."""
@@ -118,8 +124,12 @@ def test_hot_key_reducer_rows_bounded(ray_session, linked_blocks):
     # without the fan-in the map-side combine alone sends one row per block
     assert _hot_rows(partials).num_rows == N_BLOCKS
 
-    hot = _hot_rows(exchange_rows(partials, SOURCES_CAP, fanin_rows))
-    assert len(set(hot.column("__part").to_pylist())) == 1  # one reducer
+    def merge(b: pa.Table) -> pa.Table:
+        return _merge_arrow(b, TRIPLE_KEY, SOURCES_CAP)
+
+    # an identity final task returns exactly the merge task's input
+    merge_input = _reduce_once(partials, merge, fanin_rows, final=lambda b: b)
+    hot = _hot_rows(merge_input)
     assert hot.num_rows <= math.ceil(partial_rows / fanin_rows)
     assert sum(hot.column("support").to_pylist()) == N_BLOCKS * HOT_PER_BLOCK
 
@@ -128,18 +138,15 @@ def test_hot_key_reducer_rows_bounded(ray_session, linked_blocks):
 
 
 def test_output_invariant_to_fanin_and_parts(ray_session, linked_blocks):
-    """Same sorted edge rows at any partition count and fan-in size, and an
-    incremental merge of two halves equals one pass over their union."""
+    """Same sorted edge rows at any fan-in size, and an incremental merge
+    of two halves equals one pass over their union."""
     from climatemind_ontology_processing_ray.pipelines.api import merge_canonical_edges
 
     partials = _partials(linked_blocks).materialize()
     expected = _reference(linked_blocks)
-    for num_parts in (1, 8, 64):
-        for fanin_rows in (60, _FANIN_ROWS):
-            got = _rows(
-                canonicalize_partials(partials, SOURCES_CAP, fanin_rows, num_parts)
-            )
-            assert got == expected, (num_parts, fanin_rows)
+    for fanin_rows in (60, _FANIN_ROWS):
+        got = _rows(canonicalize_partials(partials, SOURCES_CAP, fanin_rows))
+        assert got == expected, fanin_rows
 
     half = N_BLOCKS // 2
     a = canonicalize_partials(_partials(linked_blocks[:half]), SOURCES_CAP)
@@ -148,11 +155,29 @@ def test_output_invariant_to_fanin_and_parts(ray_session, linked_blocks):
     assert _rows(merge_canonical_edges(a, b, SOURCES_CAP)) == one_pass == expected
 
 
-def test_canonicalize_plan_has_one_sort(ray_session, linked_blocks):
-    """Plan guard: canonicalization runs exactly one Sort (one exchange
-    barrier)."""
+def _operators(stats: str, name: str) -> list[str]:
+    return re.findall(rf"^Operator \d+ {name}\b", stats, re.M)
+
+
+def test_canonicalize_plans_have_no_sort(ray_session, linked_blocks):
+    """Plan guard: neither canonicalization runs a Sort; edges end in one
+    Repartition feeding the single merge task."""
     import ray.data
 
     out = canonicalize_triples(ray.data.from_arrow(linked_blocks)).materialize()
-    sorts = re.findall(r"^Operator \d+ Sort\b", out.stats(), re.M)
-    assert len(sorts) == 1, out.stats()
+    stats = out.stats()
+    assert not _operators(stats, "Sort"), stats
+    assert len(_operators(stats, "Repartition")) == 1, stats
+
+    mentions = ray.data.from_arrow(
+        [b.select(["url"]).append_column("surface_norm", b["subj_label"]) for b in linked_blocks]
+    )
+    counts = canonicalize_mentions(mentions).materialize()
+    assert not _operators(counts.stats(), "Sort"), counts.stats()
+    naive = pc.value_counts(pa.concat_tables(linked_blocks)["subj_label"])
+    assert counts.take_all() == [
+        {"surface_norm": s, "n_mentions": n}
+        for s, n in sorted(
+            zip(naive.field("values").to_pylist(), naive.field("counts").to_pylist())
+        )
+    ]

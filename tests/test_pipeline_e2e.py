@@ -106,7 +106,8 @@ def test_support_counts_sources(ray_session, snapshot, pages_and_info):
 
 
 def test_mention_canonicalization_counts(ray_session, snapshot, pages_and_info):
-    """Salted two-phase mention counts == naive single-process counts."""
+    """Mention counts (per-block counts, fan-in, one final task) == naive
+    single-process counts."""
     import ray.data
 
     from climatemind_ontology_processing_ray.stages import (
@@ -134,7 +135,7 @@ def test_mention_canonicalization_counts(ray_session, snapshot, pages_and_info):
         naive[r["surface_norm"]] = naive.get(r["surface_norm"], 0) + 1
 
     counted = canonicalize_mentions(
-        mentions, num_salts=8, surface_index=snapshot.surface_index()
+        mentions, surface_index=snapshot.surface_index()
     ).take_all()
     got = {r["surface_norm"]: r["n_mentions"] for r in counted}
     assert got == naive
@@ -245,8 +246,9 @@ def test_driver_side_artifacts_from_pipeline_edges(
 
 
 def test_salting_spreads_hot_keys(ray_session):
-    """White-box skew check: a hot surface form's partial rows land in
-    multiple salted groups before the final merge (SURVEY §7.3)."""
+    """White-box skew check: the salt hash of the triple partials spreads
+    one hot key's urls over most salts, and a hot surface form counted
+    over 8 blocks reaches one exact total (SURVEY §7.3)."""
     import pandas as pd
     import ray.data
 
@@ -265,7 +267,7 @@ def test_salting_spreads_hot_keys(ray_session):
     )
 
     ds = ray.data.from_items(rows).repartition(8)
-    out = canonicalize_mentions(ds, num_salts=16).take_all()
+    out = canonicalize_mentions(ds).take_all()
     assert out == [{"surface_norm": "climate change", "n_mentions": 10_000}]
 
 

@@ -543,6 +543,16 @@ def test_cold_publish_writes_only_the_checkpoints(
     assert calls == []
 
 
+def test_uncheckpointed_publish_runs_one_execution(
+    ray_session, snapshot, table, tmp_path, ray_executions
+):
+    """Plan guard: without a checkpoint dir, ``process_pages`` collects the
+    canonical edges in exactly one Ray Data execution (``to_arrow_refs``
+    re-runs a lazy plan for its schema)."""
+    _publish(table, snapshot, str(tmp_path / "out"), None)
+    assert len(ray_executions) == 1, ray_executions
+
+
 @pytest.mark.parametrize("case", ["no_english_page", "link_threshold_above_1"])
 def test_empty_stages_checkpoint_and_publish(
     ray_session, snapshot, table, tmp_path, case
