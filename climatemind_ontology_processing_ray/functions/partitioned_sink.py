@@ -32,7 +32,7 @@ MANIFEST = "_RANGE_MANIFEST.json"
 
 def _boundaries(ds: Dataset, key_col: str, num_partitions: int) -> list:
     """num_partitions-1 split points from a deterministic key sample."""
-    from ..functions.sample import deterministic_sample
+    from .sample import deterministic_sample
 
     sample = list(
         deterministic_sample(

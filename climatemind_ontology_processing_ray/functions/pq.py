@@ -534,7 +534,7 @@ def ivfpq_store(
     codes_ds: Dataset, out_dir: str, num_partitions: int = 16
 ) -> dict:
     """Persist an :func:`ivfpq_encode` table cell-partitioned via the
-    range-partitioned sink (sinks/partitioned.py): one directory per
+    range-partitioned sink (functions/partitioned_sink.py): one directory per
     cell range with a row-count manifest, so a search touching nprobe
     cells reads ONLY their covering partitions — the storage-layer data
     skipping a 10^12-vector index needs (the in-memory
@@ -547,7 +547,7 @@ def ivfpq_store(
     fixed-size-list column round-tripped through a pandas block embeds
     a ``numpy.ndarray(...)`` dtype string in the Parquet pandas
     metadata that pyarrow cannot re-parse on read)."""
-    from ..sinks.partitioned import write_range_partitioned
+    from .partitioned_sink import write_range_partitioned
 
     def split_codes(b: pa.Table) -> pa.Table:
         codes = b.column("codes")
@@ -591,7 +591,7 @@ def ivfpq_search_stored(
     what :func:`ivfpq_search_codes` returns over the full table — the
     extra rows a covering partition may contribute belong to unprobed
     cells and are masked out per query inside the scan."""
-    from ..sinks.partitioned import read_key_range
+    from .partitioned_sink import read_key_range
 
     q = quantize(np.asarray(queries, dtype=np.float64), quant)
     qf, cf = q.astype(np.float64), coarse.astype(np.float64)

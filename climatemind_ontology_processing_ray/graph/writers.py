@@ -26,6 +26,7 @@ import csv
 import json
 import os
 import pickle
+import re
 from typing import Iterable
 
 import networkx as nx
@@ -90,15 +91,15 @@ def write_subgraph_pickle(
     return path
 
 
-def _stringify_attrs(G: nx.DiGraph) -> nx.DiGraph:
+def _stringify_attrs(G: nx.DiGraph, key=lambda k: k) -> nx.DiGraph:
     """gexf/gml/graphml only accept scalar attribute values — stringify the
     nested dict/list attributes (alternate formats are secondary exports,
-    ontology_processing_utils.py:198-207)."""
+    ontology_processing_utils.py:198-207); ``key`` renames attributes."""
     H = nx.DiGraph()
     for n, d in G.nodes(data=True):
-        H.add_node(n, **{k: json.dumps(v, default=str) for k, v in d.items()})
+        H.add_node(n, **{key(k): json.dumps(v, default=str) for k, v in d.items()})
     for a, b, d in G.edges(data=True):
-        H.add_edge(a, b, **{k: json.dumps(v, default=str) for k, v in d.items()})
+        H.add_edge(a, b, **{key(k): json.dumps(v, default=str) for k, v in d.items()})
     return H
 
 
@@ -115,8 +116,10 @@ def write_graph_graphml(G: nx.DiGraph, out_dir: str, fname: str = "Climate_Mind_
 
 
 def write_graph_gml(G: nx.DiGraph, out_dir: str, fname: str = "Climate_Mind_DiGraph") -> str:
+    """GML keys are ``[A-Za-z][A-Za-z0-9_]*``, so attribute names such as
+    "direct classes" are written with underscores for spaces."""
     path = os.path.join(out_dir, fname + ".gml")
-    nx.write_gml(_stringify_attrs(G), path)
+    nx.write_gml(_stringify_attrs(G, key=lambda k: re.sub(r"[^0-9A-Za-z_]", "_", k)), path)
     return path
 
 

@@ -23,40 +23,38 @@ snapshot back to RDF/XML.  The round trip is exact up to edge-list order
 
 **Reasoner caveat** (documented per SURVEY §2.1): the reference
 optionally runs ``sync_reasoner()`` (HermiT, ``make_graph_class.py:79-82``).
-The snapshot's precomputed ancestor closure reproduces ``ancestors()``
-over the asserted hierarchy; ``owl:equivalentClass`` axioms between
-NAMED classes are normalized to mutual subsumption at parse time (rules
-scm-eqc1/scm-sco, tested against a fixpoint oracle in
-``tests/test_owl.py``); and restriction-DEFINED classes — C ≡ ∃P.{v}
-(hasValue) and C ≡ ∃P.D (someValuesFrom a named class) — classify
-individuals by a parse-time fixpoint over the asserted object edges,
-materialized into ``direct_classes``.  ``intersectionOf`` / ``unionOf``
-class expressions in ``equivalentClass`` classify both individuals
-(ALL / ANY conjunct semantics) and named classes (scm-int: C ≡ D1⊓D2 ⇒
-C ⊑ Di; scm-uni: C ≡ D1⊔D2 ⇒ Di ⊑ C), and ``owl:TransitiveProperty``
-declarations make ∃P restrictions range over the transitive closure of
-P's asserted edges.  ``owl:SymmetricProperty``, ``owl:inverseOf`` and
-``owl:propertyChainAxiom`` declarations derive entailed assertions
-(prp-symp / prp-inv / prp-spo2) for classification via an edge
-saturation run to fixpoint TOGETHER with the per-property transitive
-closure, so all four characteristics compose (a chain-derived edge of
-a symmetric property mirrors; a mirror extends a closure; ...).
-``rdfs:domain`` / ``rdfs:range`` declarations on object properties
-(named classes) classify edge endpoints (prp-dom / prp-rng) over the
-saturated edge set, seeded before the defined-class fixpoint so the
-passes compose.  ``owl:minCardinality`` / ``owl:minQualifiedCardinality``
-restrictions in ``equivalentClass`` (bare or as intersection/union
-members) classify by counting distinct (qualified) fillers over the
-saturated edges — only the *min* forms, which are sound under
-open-world semantics without negation.
+This parser covers that reasoner's classification over an envelope of
+OWL constructs, with one edge saturation and one membership fixpoint:
+
+- ``owl:equivalentClass`` between NAMED classes is mutual subsumption
+  (scm-eqc1); the snapshot's ancestor closure then reproduces
+  ``ancestors()`` over the hierarchy.
+- Every property axiom is one of two monotone Horn rule forms, run to
+  their least fixpoint over the asserted object edges: an *inverse*
+  P(x, y) ⇒ Q(y, x) (``owl:inverseOf``; a ``owl:SymmetricProperty`` is
+  its own inverse) or a *chain* P1∘…∘Pn ⊑ R
+  (``owl:propertyChainAxiom``; a ``owl:TransitiveProperty`` is
+  (P, P) ⊑ P).
+- ``rdfs:domain`` / ``rdfs:range`` (named classes) classify the
+  endpoints of the saturated edges (prp-dom / prp-rng), seeding the
+  membership fixpoint.
+- Every anonymous ``equivalentClass`` the envelope covers is one defined
+  class C ≡ ⊓ conjuncts or C ≡ ⊔ conjuncts over named classes and
+  ∃P.{v} / ∃P.D / ≥n P / ≥n P.D restrictions (a bare restriction is a
+  one-member intersection).  One fixpoint classifies individuals by
+  ALL / ANY conjunct semantics over the saturated edges and materializes
+  the inferred memberships into ``direct_classes``; named members also
+  subsume (scm-int: C ≡ D1⊓D2 ⇒ C ⊑ Di; scm-uni: C ≡ D1⊔D2 ⇒ Di ⊑ C).
+  Only the *min* cardinality forms are sound under open-world semantics
+  without negation.
+
 NOTE: matching ``sync_reasoner()``'s default
-``infer_property_values=False`` (``make_graph_class.py:82``), inferred
-property assertions (symmetric/inverse mirrors, chain compositions,
-transitive-closure edges) are NOT materialized into ``obj_edges`` —
-only classification is.  Memberships that require full DL reasoning
-beyond these patterns — complementOf, max/exact cardinality — are NOT
-derived; the reference pipeline's own edge set does not depend on
-them.
+``infer_property_values=False`` (``make_graph_class.py:82``), derived
+property assertions are NOT materialized into ``obj_edges`` — only
+classification is.  Memberships that need full DL reasoning —
+complementOf, max/exact cardinality — are NOT derived (see
+:class:`UnsupportedOWLConstructError`); the reference pipeline's own
+edge set does not depend on them.
 """
 
 from __future__ import annotations
@@ -203,26 +201,29 @@ def parse_owl(
     indiv_els: list = []
     class_els: list = []
 
-    transitive_prop_iris: set[str] = set()
-    symmetric_prop_iris: set[str] = set()
+    # The two Horn rule forms of the edge saturation, in IRI space:
+    # inverse pairs (P, Q) — owl:inverseOf, and (P, P) for a symmetric P;
+    # chains (R, (P1, ..., Pn)) for P1∘…∘Pn ⊑ R — owl:propertyChainAxiom,
+    # and (P, (P, P)) for a transitive P.
     inverse_prop_iri_pairs: set[tuple[str, str]] = set()
-    # owl:propertyChainAxiom on R with members (P1, ..., Pn): P1∘…∘Pn ⊑ R
     chain_axiom_iris: list[tuple[str, tuple[str, ...]]] = []
 
     def _prop_characteristics(el) -> None:
-        """Record inverseOf targets + rdf:type characteristics declared on
-        any property element shape (ObjectProperty or the typed tags)."""
+        """Record the inverse and chain rules declared on any object
+        property element shape: ``owl:ObjectProperty`` with ``rdf:type``
+        characteristics, or the typed ``owl:TransitiveProperty`` /
+        ``owl:SymmetricProperty`` tags, which declare the same thing."""
         iri = el.get(_ABOUT, "")
+        types = {t.get(_RESOURCE, "") for t in el.findall(q(RDF, "type"))}
+        types.add(el.tag.replace("{", "").replace("}", ""))
+        if f"{OWL}TransitiveProperty" in types:
+            chain_axiom_iris.append((iri, (iri, iri)))
+        if f"{OWL}SymmetricProperty" in types:
+            inverse_prop_iri_pairs.add((iri, iri))
         for inv in el.findall(q(OWL, "inverseOf")):
             res = inv.get(_RESOURCE)
             if res:
                 inverse_prop_iri_pairs.add((iri, res))
-        for t in el.findall(q(RDF, "type")):
-            res = t.get(_RESOURCE, "")
-            if res == f"{OWL}TransitiveProperty":
-                transitive_prop_iris.add(iri)
-            elif res == f"{OWL}SymmetricProperty":
-                symmetric_prop_iris.add(iri)
         for chain in el.findall(q(OWL, "propertyChainAxiom")):
             # rdf Collection of property references (Description or typed
             # ObjectProperty children); skip chains with unresolvable links
@@ -234,17 +235,11 @@ def parse_owl(
 
     def node_kind(el) -> str | None:
         tag = el.tag
-        if tag == q(OWL, "TransitiveProperty"):
-            # standalone <owl:TransitiveProperty rdf:about=.../> declaration
-            transitive_prop_iris.add(el.get(_ABOUT, ""))
-            _prop_characteristics(el)
-            return "object"
-        if tag == q(OWL, "SymmetricProperty"):
-            symmetric_prop_iris.add(el.get(_ABOUT, ""))
-            _prop_characteristics(el)
-            return "object"
-        if tag == q(OWL, "ObjectProperty"):
-            # Protégé style: <rdf:type rdf:resource="...#TransitiveProperty"/>
+        if tag in (
+            q(OWL, "ObjectProperty"),
+            q(OWL, "TransitiveProperty"),
+            q(OWL, "SymmetricProperty"),
+        ):
             _prop_characteristics(el)
             return "object"
         if tag == q(OWL, "AnnotationProperty"):
@@ -299,21 +294,16 @@ def parse_owl(
     class_individual_parents: list[tuple[str, str]] = []
     equiv_pairs: list[tuple[str, str]] = []
 
-    # restriction-DEFINED classes: C ≡ ∃P.{v} (hasValue) or C ≡ ∃P.D
-    # (someValuesFrom a named class) — the owl:Restriction pattern the
-    # reference ontology feeds through HermiT (make_graph_class.py:71-82);
-    # memberships are inferred below after individuals are parsed.
-    restriction_defs: list[tuple[str, str, str, str]] = []
-    # intersection-DEFINED classes: C ≡ D1 ⊓ ... ⊓ ∃P.{v} ⊓ ∃P.D — the
-    # next equivalentClass pattern after the bare restriction (reference
-    # behavior envelope make_graph_class.py:71-82); each entry is
-    # (class_label, conjuncts) where a conjunct is ("class", D) /
-    # ("hasValue", P, v) / ("someValuesFrom", P, D); membership requires
-    # ALL conjuncts and is inferred in the same fixpoint below.
-    intersection_defs: list[tuple[str, tuple[tuple[str, ...], ...]]] = []
-    # union-DEFINED classes: C ≡ D1 ⊔ ... ⊔ ∃P.{v} — ANY-disjunct
-    # membership semantics (same conjunct grammar as intersection_defs).
-    union_defs: list[tuple[str, tuple[tuple[str, ...], ...]]] = []
+    # DEFINED classes, one entry per anonymous equivalentClass the
+    # envelope covers (the owl:Restriction / intersectionOf / unionOf
+    # patterns the reference ontology feeds through HermiT,
+    # make_graph_class.py:71-82): (class_label, all|any, conjuncts).  A
+    # conjunct is ("class", D) / ("hasValue", P, v) /
+    # ("someValuesFrom", P, D) / ("minCardinality", P, n) /
+    # ("minQualifiedCardinality", P, n, D), in label space; a bare
+    # restriction C ≡ ∃P.X is (C, all, (∃P.X,)).  Memberships are
+    # inferred below after individuals are parsed.
+    defined: list[tuple[str, object, tuple[tuple, ...]]] = []
 
     def _one_restriction(restr) -> tuple | None:
         on_prop = restr.find(q(OWL, "onProperty"))
@@ -342,51 +332,47 @@ def parse_owl(
                 return (p_iri, "minQualifiedCardinality", n, on_cls.get(_RESOURCE))
         return None
 
-    def _restriction_parts(container) -> tuple[str, str, str] | None:
-        restr = container.find(q(OWL, "Restriction"))
-        if restr is None:
+    def _conjunct(el) -> tuple | None:
+        """A named class or an in-envelope restriction as a label-space
+        conjunct; None when it references an undeclared property, class
+        or individual, or needs full DL."""
+        if el.tag != q(OWL, "Restriction"):
+            res = el.get(_ABOUT) or el.get(_RESOURCE)
+            return ("class", class_label[res]) if res in class_label else None
+        parts = _one_restriction(el)
+        if parts is None or parts[0] not in prop_label:
             return None
-        return _one_restriction(restr)
+        prop, kind = prop_label[parts[0]], parts[1]
+        if kind == "hasValue" and parts[2] in indiv_label:
+            return (kind, prop, indiv_label[parts[2]])
+        if kind == "someValuesFrom" and parts[2] in class_label:
+            return (kind, prop, class_label[parts[2]])
+        if kind == "minCardinality":
+            return (kind, prop, parts[2])
+        if kind == "minQualifiedCardinality" and parts[3] in class_label:
+            return (kind, prop, parts[2], class_label[parts[3]])
+        return None
 
-    def _composite_conjuncts(
-        container, collection: str
-    ) -> tuple[tuple[str, ...], ...] | None:
-        """Parse ``owl:Class/owl:intersectionOf`` or ``owl:unionOf`` (rdf
-        Collection) under an equivalentClass; None when absent or any
-        member needs full DL."""
-        cls_el = container.find(q(OWL, "Class"))
+    def _definition(eq) -> tuple | None:
+        """An anonymous equivalentClass as ``(all|any, conjuncts)``: a
+        bare restriction is a one-member intersection; an
+        ``owl:Class/owl:intersectionOf`` or ``owl:unionOf`` rdf Collection
+        qualifies only when every member is a conjunct."""
+        restr = eq.find(q(OWL, "Restriction"))
+        if restr is not None and _one_restriction(restr) is not None:
+            c = _conjunct(restr)
+            return (all, (c,)) if c is not None else None
+        cls_el = eq.find(q(OWL, "Class"))
         if cls_el is None:
             return None
-        inter = cls_el.find(q(OWL, collection))
-        if inter is None:
-            return None
-        conjuncts: list[tuple[str, ...]] = []
-        for child in inter:
-            res = child.get(_ABOUT) or child.get(_RESOURCE)
-            if child.tag == q(OWL, "Restriction"):
-                parts = _one_restriction(child)
-                if parts is None:
-                    return None
-                p_iri, kind = parts[0], parts[1]
-                if p_iri not in prop_label:
-                    return None
-                if kind == "hasValue" and parts[2] in indiv_label:
-                    conjuncts.append((kind, prop_label[p_iri], indiv_label[parts[2]]))
-                elif kind == "someValuesFrom" and parts[2] in class_label:
-                    conjuncts.append((kind, prop_label[p_iri], class_label[parts[2]]))
-                elif kind == "minCardinality":
-                    conjuncts.append((kind, prop_label[p_iri], parts[2]))
-                elif kind == "minQualifiedCardinality" and parts[3] in class_label:
-                    conjuncts.append(
-                        (kind, prop_label[p_iri], parts[2], class_label[parts[3]])
-                    )
-                else:
-                    return None
-            elif res is not None and res in class_label:
-                conjuncts.append(("class", class_label[res]))
-            else:
-                return None
-        return tuple(conjuncts) if conjuncts else None
+        for quant, collection in ((all, "intersectionOf"), (any, "unionOf")):
+            members = cls_el.find(q(OWL, collection))
+            if members is None:
+                continue
+            conjuncts = tuple(_conjunct(m) for m in members)
+            if conjuncts and None not in conjuncts:
+                return quant, conjuncts
+        return None
 
     for iri, el in class_els:
         label = class_label[iri]
@@ -397,39 +383,10 @@ def parse_owl(
             if res is not None and res in class_label:
                 equiv_pairs.append((label, class_label[res]))
                 continue
-            # anonymous restriction equivalence -> defined class
-            parts = _restriction_parts(eq)
-            if parts is None:
-                conj = _composite_conjuncts(eq, "intersectionOf")
-                if conj is not None:
-                    intersection_defs.append((label, conj))
-                else:
-                    disj = _composite_conjuncts(eq, "unionOf")
-                    if disj is not None:
-                        union_defs.append((label, disj))
-                continue  # other anonymous expressions need full DL
-            p_iri, kind = parts[0], parts[1]
-            if p_iri not in prop_label:
-                continue
-            if kind == "hasValue" and parts[2] in indiv_label:
-                restriction_defs.append(
-                    (label, prop_label[p_iri], kind, indiv_label[parts[2]])
-                )
-            elif kind == "someValuesFrom" and parts[2] in class_label:
-                restriction_defs.append(
-                    (label, prop_label[p_iri], kind, class_label[parts[2]])
-                )
-            elif kind == "minCardinality":
-                restriction_defs.append((label, prop_label[p_iri], kind, parts[2]))
-            elif kind == "minQualifiedCardinality" and parts[3] in class_label:
-                restriction_defs.append(
-                    (
-                        label,
-                        prop_label[p_iri],
-                        kind,
-                        (parts[2], class_label[parts[3]]),
-                    )
-                )
+            # anonymous expression -> defined class, unless it needs full DL
+            d = _definition(eq)
+            if d is not None:
+                defined.append((label, *d))
         for sub in el.findall(q(RDFS, "subClassOf")):
             res = sub.get(_RESOURCE)
             if res is not None:
@@ -441,44 +398,43 @@ def parse_owl(
                     class_individual_parents.append((label, indiv_label[res]))
                 continue
             restr = sub.find(q(OWL, "Restriction"))
-            if restr is None:
-                continue
-            on_prop = restr.find(q(OWL, "onProperty"))
-            value = restr.find(q(OWL, "hasValue"))
-            if value is None:
-                value = restr.find(q(OWL, "someValuesFrom"))
-            if on_prop is None or value is None:
-                continue
-            p_iri = on_prop.get(_RESOURCE, "")
-            v_iri = value.get(_RESOURCE, "")
-            if p_iri in prop_label and v_iri in indiv_label:
+            parts = None if restr is None else _one_restriction(restr)
+            if (
+                parts is not None
+                and parts[1] in ("hasValue", "someValuesFrom")
+                and parts[0] in prop_label
+                and parts[2] in indiv_label
+            ):
                 # class-level object assertion (network_class.py:73-77)
                 class_obj_edges.append(
-                    (label, prop_label[p_iri], indiv_label[v_iri])
+                    (label, prop_label[parts[0]], indiv_label[parts[2]])
                 )
         class_parents[label] = tuple(parents)
+
+    def _add_parent(cls: str, parent: str) -> None:
+        if parent not in class_parents.get(cls, ()):
+            class_parents[cls] = class_parents.get(cls, ()) + (parent,)
 
     # owl:equivalentClass(a, b) between named classes ⇒ a ⊑ b and b ⊑ a
     # (scm-eqc1); class_ancestors' visited-set walk then reproduces the
     # RDFS-entailed memberships without special-casing the cycle.
     for a, b in equiv_pairs:
-        if b not in class_parents.get(a, ()):
-            class_parents[a] = class_parents.get(a, ()) + (b,)
-        if a not in class_parents.get(b, ()):
-            class_parents[b] = class_parents.get(b, ()) + (a,)
+        _add_parent(a, b)
+        _add_parent(b, a)
 
     # scm-int / scm-uni class subsumption (HermiT's "classes to new
     # superclasses" reclassification, make_graph_class.py:76-82):
     # C ≡ D1 ⊓ D2 entails C ⊑ Di for every NAMED conjunct;
-    # C ≡ D1 ⊔ D2 entails Di ⊑ C for every NAMED disjunct.
-    for cls, conjuncts in intersection_defs:
-        for conj in conjuncts:
-            if conj[0] == "class" and conj[1] not in class_parents.get(cls, ()):
-                class_parents[cls] = class_parents.get(cls, ()) + (conj[1],)
-    for cls, disjuncts in union_defs:
-        for disj in disjuncts:
-            if disj[0] == "class" and cls not in class_parents.get(disj[1], ()):
-                class_parents[disj[1]] = class_parents.get(disj[1], ()) + (cls,)
+    # C ≡ D1 ⊔ D2 entails Di ⊑ C for every NAMED disjunct.  Every
+    # intersection subsumption goes before any union subsumption: the
+    # order of class_parents tuples reaches to_json() and the run key.
+    for cls, quant, conjuncts in sorted(defined, key=lambda d: d[1] is any):
+        for c in conjuncts:
+            if c[0] == "class":
+                if quant is all:
+                    _add_parent(cls, c[1])
+                else:
+                    _add_parent(c[1], cls)
 
     # ---- pass 2: individuals ------------------------------------------
     individuals: dict[str, dict] = {}
@@ -542,14 +498,7 @@ def parse_owl(
             "surface_forms": alt_labels or [label],
         }
 
-    # ---- restriction-membership inference -------------------------------
-    # The one HermiT entailment the climate-style ontologies rely on:
-    # C ≡ ∃P.{v}  ⇒ every x with P(x, v) is a member of C;
-    # C ≡ ∃P.D    ⇒ every x with P(x, y) where y ∈ D (up to ancestors) is
-    # a member of C.  Run to fixpoint (a someValuesFrom filler may itself
-    # be a defined class), then materialize inferred memberships into
-    # direct_classes — mirroring owlready2's post-sync_reasoner ``is_a``
-    # as consumed at make_graph_class.py:134.
+    # ---- classification -------------------------------------------------
     # rdfs:domain / rdfs:range classification (prp-dom / prp-rng): an
     # asserted edge s P o with domain(P)=D classifies s as D (and range
     # as R for o).  Label space, classification only — edges untouched.
@@ -564,83 +513,43 @@ def parse_owl(
         if p in prop_label
     }
 
-    if (
-        restriction_defs
-        or intersection_defs
-        or union_defs
-        or domain_by_label
-        or range_by_label
-    ):
-        # ∃P over a transitive P ranges over the closure of P's asserted
-        # edges (classification only — closure edges are NOT added to
-        # obj_edges, matching infer_property_values=False).
-        transitive_labels = {
-            prop_label[iri] for iri in transitive_prop_iris if iri in prop_label
-        }
-        symmetric_labels = {
-            prop_label[iri] for iri in symmetric_prop_iris if iri in prop_label
-        }
-        inv_by_label: dict[str, set[str]] = {}
+    if defined or domain_by_label or range_by_label:
+        inverses: dict[str, set[str]] = {}
         for a, b in inverse_prop_iri_pairs:
             if a in prop_label and b in prop_label:
-                inv_by_label.setdefault(prop_label[a], set()).add(prop_label[b])
-                inv_by_label.setdefault(prop_label[b], set()).add(prop_label[a])
-        chain_axioms = [
+                inverses.setdefault(prop_label[a], set()).add(prop_label[b])
+                inverses.setdefault(prop_label[b], set()).add(prop_label[a])
+        chains = [
             (prop_label[sup], tuple(prop_label[m] for m in members))
             for sup, members in chain_axiom_iris
             if sup in prop_label and all(m in prop_label for m in members)
         ]
-        # Edge saturation to fixpoint: symmetric / inverse mirrors
-        # (prp-symp / prp-inv), property-chain compositions (prp-spo2,
-        # P1∘…∘Pn ⊑ R) and per-property transitive closure feed each
-        # other (a chain-derived edge of a symmetric property mirrors; a
-        # mirror extends a transitive closure; ...).  Classification
-        # only, ontology-sized input — the loop is O(rounds · E).
+        # Edge saturation to the least fixpoint of the two Horn rule
+        # forms: inverse, P(x, y) ⇒ Q(y, x) (prp-inv; prp-symp is Q = P),
+        # and chain, P1(x, y1) ∧ … ∧ Pn(yn-1, y) ⇒ R(x, y) (prp-spo2;
+        # prp-trp is (P, P) ⊑ P).  Both are monotone, so rule order does
+        # not change the result.  Classification only — derived edges are
+        # NOT added to obj_edges, matching infer_property_values=False;
+        # ontology-sized input, so the loop is O(rounds · E).
         edge_set: set[tuple[str, str, str]] = set(obj_edges)
-        changed_edges = True
-        while changed_edges:
-            new: set[tuple[str, str, str]] = set()
+        while True:
+            new = {(o, inv, s) for s, p, o in edge_set for inv in inverses.get(p, ())}
+            by_prop: dict[str, dict[str, set[str]]] = {}
             for s, p, o in edge_set:
-                if p in symmetric_labels and (o, p, s) not in edge_set:
-                    new.add((o, p, s))
-                for pinv in inv_by_label.get(p, ()):
-                    if (o, pinv, s) not in edge_set:
-                        new.add((o, pinv, s))
-            if chain_axioms or transitive_labels:
-                by_prop: dict[str, dict[str, set[str]]] = {}
-                for s, p, o in edge_set:
-                    by_prop.setdefault(p, {}).setdefault(s, set()).add(o)
-            for sup, members in chain_axioms:
-                cur = {
-                    s: set(outs)
-                    for s, outs in by_prop.get(members[0], {}).items()
-                }
+                by_prop.setdefault(p, {}).setdefault(s, set()).add(o)
+            for sup, members in chains:
+                cur = by_prop.get(members[0], {})
                 for m in members[1:]:
                     step = by_prop.get(m, {})
                     cur = {
                         s: outs
                         for s, mids in cur.items()
-                        if (outs := set().union(*(step.get(t, set()) for t in mids)))
+                        if (outs := set().union(*(step.get(t, ()) for t in mids)))
                     }
-                for s, outs in cur.items():
-                    for o in outs:
-                        if (s, sup, o) not in edge_set:
-                            new.add((s, sup, o))
-            for tprop in transitive_labels:
-                adj = by_prop.get(tprop, {})
-                for start in adj:
-                    seen: set[str] = set()
-                    stack = list(adj[start])
-                    while stack:
-                        n = stack.pop()
-                        if n in seen:
-                            continue
-                        seen.add(n)
-                        stack.extend(adj.get(n, ()))
-                    for o in seen - adj[start]:
-                        if (start, tprop, o) not in edge_set:
-                            new.add((start, tprop, o))
-            changed_edges = bool(new)
+                new.update((s, sup, o) for s, outs in cur.items() for o in outs)
+            new -= edge_set
+            if not new:
+                break
             edge_set |= new
         # asserted order first, derived edges in sorted order (determinism)
         infer_edges = list(obj_edges) + sorted(edge_set - set(obj_edges))
@@ -661,18 +570,16 @@ def parse_owl(
         }
         # domain/range memberships are a single static pass (infer_edges
         # never grows during classification; it already carries the
-        # symmetric/inverse/transitive-derived edges, which are entailed
-        # P-assertions and so trigger domain/range like asserted ones),
-        # seeded BEFORE the defined-class fixpoint so they can satisfy
-        # its conjuncts
-        if domain_by_label or range_by_label:
-            for s, p, o in infer_edges:
-                d = domain_by_label.get(p)
-                if d is not None and s in member:
-                    member[s].add(d)
-                r = range_by_label.get(p)
-                if r is not None and o in member:
-                    member[o].add(r)
+        # derived edges, which are entailed P-assertions and so trigger
+        # domain/range like asserted ones), seeded BEFORE the
+        # defined-class fixpoint so they can satisfy its conjuncts
+        for s, p, o in infer_edges:
+            d = domain_by_label.get(p)
+            if d is not None and s in member:
+                member[s].add(d)
+            r = range_by_label.get(p)
+            if r is not None and o in member:
+                member[o].add(r)
         # per-individual outgoing edges (infer_edges is static across the
         # fixpoint), so each conjunct check is a lookup
         out_edges: dict[str, list[tuple[str, str]]] = {}
@@ -708,46 +615,18 @@ def parse_owl(
                     return True
             return False
 
+        # The one membership fixpoint: C ≡ ⊓ conjuncts (all) or
+        # C ≡ ⊔ conjuncts (any), run until no individual gains a class (a
+        # someValuesFrom filler may itself be a defined class), then
+        # materialized into direct_classes — mirroring owlready2's
+        # post-sync_reasoner ``is_a`` as consumed at make_graph_class.py:134.
         changed = True
         while changed:
             changed = False
-            for cls, prop, kind, target in restriction_defs:
-                if kind in ("minCardinality", "minQualifiedCardinality"):
-                    conj = (
-                        (kind, prop, target)
-                        if kind == "minCardinality"
-                        else (kind, prop, target[0], target[1])
-                    )
-                    for x in member:
-                        if cls not in member[x] and _satisfies(x, conj):
-                            member[x].add(cls)
-                            changed = True
-                    continue
-                for s, p, o in infer_edges:
-                    if p != prop or cls in member.get(s, ()) or s not in member:
-                        continue
-                    if kind == "hasValue":
-                        ok = o == target
-                    else:
-                        ok = any(
-                            target in _anc(c) for c in member.get(o, ())
-                        )
-                    if ok:
-                        member[s].add(cls)
-                        changed = True
-            for cls, conjuncts in intersection_defs:
-                for x in member:
-                    if cls in member[x]:
-                        continue
-                    if all(_satisfies(x, c) for c in conjuncts):
-                        member[x].add(cls)
-                        changed = True
-            for cls, disjuncts in union_defs:
-                for x in member:
-                    if cls in member[x]:
-                        continue
-                    if any(_satisfies(x, d) for d in disjuncts):
-                        member[x].add(cls)
+            for cls, quant, conjuncts in defined:
+                for x, mems in member.items():
+                    if cls not in mems and quant(_satisfies(x, c) for c in conjuncts):
+                        mems.add(cls)
                         changed = True
         for lab, mems in member.items():
             cur = individuals[lab]["direct_classes"]

@@ -3218,16 +3218,14 @@ def q_kg_edge_timespan(sf_dir: str):
         ),
         cfg.keep_langs,
     )
-    # task-based fused extract+link (stages/fused.py:make_extract_link_fn):
+    # task-based fused extract+link (stages/fused.py:per_worker(ExtractLink)):
     # the executor fuses read -> extract -> filter -> this into one
     # operator and per-worker caches the automaton/index state.
-    from ..stages.fused import make_extract_link_fn
+    from ..stages.fused import ExtractLink, per_worker
 
     snapshot_json = snap.to_json()
     linked = extracted.map_batches(
-        make_extract_link_fn(
-            snapshot_json=snapshot_json, threshold=cfg.link_threshold
-        ),
+        per_worker(ExtractLink, snapshot_json, cfg.link_threshold),
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).select_columns(["subj_label", "obj_label", "predicate", "url"])
@@ -3621,13 +3619,13 @@ _ADJ_RANGE = ("c", "m")  # subject range probed by the partition lookup
 
 def q_adjacency_partition_lookup(sf_dir: str):
     """Range-partitioned adjacency sink + manifest-pruned range read
-    (sinks/partitioned.py): canonical edges written as key-range
+    (functions/partitioned_sink.py): canonical edges written as key-range
     directories, then a subject-range probe reads ONLY the covering
     partitions — the data-skipping layout an adjacency store needs at
     corpus scale."""
     import hashlib
 
-    from ..sinks import read_key_range, write_range_partitioned
+    from ..functions.partitioned_sink import read_key_range, write_range_partitioned
 
     edges = _kg_canonical_edge_ds(sf_dir).select_columns(
         ["subject", "object", "predicate", "support"]

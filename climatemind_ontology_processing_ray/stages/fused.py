@@ -100,10 +100,3 @@ def make_fused_partials_fn(
         snapshot_json, threshold, num_salts, sources_cap, extractor_cls, linker_cls,
     )
 
-
-def make_extract_link_fn(snapshot_json: str, threshold: float = 0.85):
-    """Extract+link WITHOUT the map-side combine, as a stateless task fn —
-    for consumers that need the per-mention linked rows themselves (e.g.
-    the per-edge provenance join in `kg_edge_timespan`, which joins linked
-    rows back to pages on url BEFORE any aggregation)."""
-    return per_worker(ExtractLink, snapshot_json, threshold)

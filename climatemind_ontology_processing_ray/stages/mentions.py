@@ -25,7 +25,24 @@ import pyarrow as pa
 
 from ..ontology.schema import OntologySnapshot, normalize_surface
 
-SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+|\n+")
+# the one sentence boundary every stage uses: a terminator or a newline
+SENTENCE_ENDS = ".!?\n"
+
+
+def sentence_id(low: str, pos: int) -> int:
+    """Index of the sentence holding offset ``pos``: the number of
+    sentence terminators before it."""
+    return (
+        low.count(".", 0, pos)
+        + low.count("!", 0, pos)
+        + low.count("?", 0, pos)
+        + low.count("\n", 0, pos)
+    )
+
+
+def sentence_start(low: str, pos: int) -> int:
+    """Offset of the first character of the sentence holding ``pos``."""
+    return max(low.rfind(c, 0, pos) for c in SENTENCE_ENDS) + 1
 
 
 def build_surface_pattern(surface_forms: Iterable[str]) -> re.Pattern:
@@ -70,14 +87,8 @@ class MentionDetector:
             for m in self.pattern.finditer(low):
                 norm = normalize_surface(m.group(0))
                 s = m.start()
-                sid = (
-                    low.count(".", 0, s)
-                    + low.count("!", 0, s)
-                    + low.count("?", 0, s)
-                    + low.count("\n", 0, s)
-                )
                 out_url.append(url)
-                out_sid.append(sid)
+                out_sid.append(sentence_id(low, s))
                 out_surface.append(m.group(0))
                 out_norm.append(norm)
                 out_label.append(self.index.get(norm))

@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from ..ontology.schema import OntologySnapshot
 from ..ontology.vocab import CAUSES, EXPOSURE, INHIBITS, IS_A, MYTH_ABOUT, POPULATION
-from .mentions import snapshot_surface_pattern
+from .mentions import SENTENCE_ENDS, sentence_id, sentence_start, snapshot_surface_pattern
 
 # connective text (lowercased, stripped) -> (predicate, subject_first)
 CONNECTIVES: dict[str, tuple[str, bool]] = {
@@ -71,7 +71,7 @@ class TripleExtractor:
             for m2 in mentions:
                 m1, prev = prev, m2
                 gap = low[m1.end() : m2.start()]
-                if len(gap) > max_gap or any(c in gap for c in ".!?\n"):
+                if len(gap) > max_gap or any(c in gap for c in SENTENCE_ENDS):
                     continue
                 hit = CONNECTIVES.get(gap.strip(_GAP_STRIP))
                 if hit is None:
@@ -80,13 +80,10 @@ class TripleExtractor:
                 a, b = m1.group(0), m2.group(0)
                 subj, obj = (a, b) if subject_first else (b, a)
                 # sentence id + evidence derived lazily, only on a hit
-                sid = low.count(".", 0, m1.start()) + low.count("\n", 0, m1.start())
-                start = max(
-                    low.rfind(".", 0, m1.start()), low.rfind("\n", 0, m1.start())
-                ) + 1
+                start = sentence_start(low, m1.start())
                 end = m2.end()
                 o_url.append(url)
-                o_sid.append(sid)
+                o_sid.append(sentence_id(low, m1.start()))
                 o_subj.append(subj)
                 o_obj.append(obj)
                 o_pred.append(predicate)

@@ -34,7 +34,6 @@ same key and verifies file by file writes nothing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -44,6 +43,8 @@ from typing import Callable
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+
+from .publish import file_md5
 
 
 def _read(stage_dir: str, manifest: dict) -> "ray.data.Dataset":
@@ -104,11 +105,7 @@ class CheckpointManager:
                 continue
             fpath = os.path.join(tmp_dir, name)
             n = pq.read_metadata(fpath).num_rows
-            h = hashlib.md5()
-            with open(fpath, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    h.update(chunk)
-            files.append({"path": name, "rows": n, "md5": h.hexdigest()})
+            files.append({"path": name, "rows": n, "md5": file_md5(fpath)})
             total += n
         manifest = {
             "stage": stage,

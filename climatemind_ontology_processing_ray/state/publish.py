@@ -59,7 +59,8 @@ def _move(src: str, dst: str) -> None:
     os.replace(src, dst)
 
 
-def _md5(path: str) -> str:
+def file_md5(path: str) -> str:
+    """md5 hex digest of a file's bytes (both manifests record it)."""
     h = hashlib.md5()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -83,7 +84,7 @@ def _digests(root: str, entries: list[str]) -> dict[str, dict]:
     return {
         rel: {
             "size": os.path.getsize(os.path.join(root, rel)),
-            "md5": _md5(os.path.join(root, rel)),
+            "md5": file_md5(os.path.join(root, rel)),
         }
         for rel in sorted(files)
     }

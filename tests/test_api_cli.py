@@ -238,9 +238,7 @@ def test_driver_contract_owns_no_ray_session():
 
 def test_kg_core_imports_nothing_from_the_registry():
     """The KG core imports nothing from the operator registry
-    (``functions/``, ``pipelines/queries``).  ``sinks/`` is left out: it
-    still imports ``functions.sample``, no KG pipeline module imports
-    ``sinks``, and moving ``sample`` into the core is still open."""
+    (``functions/``, ``pipelines/queries``)."""
     import ast
     import pathlib
 

@@ -262,3 +262,32 @@ def test_parse_iso_ts_mixed_single_batch():
         None,
     ]
     assert out.to_pylist() == want
+
+
+def test_triples_and_mentions_share_one_sentence_boundary():
+    """A triple's sent_id and evidence use the same boundary ('.', '!',
+    '?', newline) as the mention stage: after 'Floods rise!' the triple
+    is in sentence 1, like its subject mention, and its evidence starts
+    at the subject."""
+    import pyarrow as pa
+
+    from climatemind_ontology_processing_ray.ontology.schema import OntologySnapshot
+    from climatemind_ontology_processing_ray.stages.mentions import MentionDetector
+    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
+
+    labels = ("floods", "deforestation", "drought")
+    sj = OntologySnapshot(
+        individuals={lab: {"label": lab, "surface_forms": [lab]} for lab in labels},
+        class_parents={},
+    ).to_json()
+    pages = pa.table(
+        {"url": ["u"], "extracted_text": ["Floods rise! Deforestation causes drought."]}
+    )
+    triples = TripleExtractor(sj)(pages).to_pylist()
+    mentions = MentionDetector(sj)(pages).to_pylist()
+    assert len(triples) == 1
+    (t,) = triples
+    subj = next(m for m in mentions if m["surface"] == t["subj_surface"])
+    assert t["subj_surface"] == "deforestation"
+    assert t["sent_id"] == subj["sent_id"] == 1
+    assert t["evidence"].startswith("Deforestation")

@@ -208,6 +208,8 @@ def test_graph_writers(tmp_path, snapshot, golden):
     from climatemind_ontology_processing_ray.graph.writers import (
         read_edges_csv,
         write_all_artifacts,
+        write_graph_gexf,
+        write_graph_gml,
         write_graph_graphml,
     )
 
@@ -226,7 +228,16 @@ def test_graph_writers(tmp_path, snapshot, golden):
     with open(paths["test_json"]) as f:
         jit = json.load(f)
     assert all({"id", "name", "data", "adjacencies"} <= set(n) for n in jit)
-    write_graph_graphml(art.G, str(tmp_path))
+    import networkx as nx
+
+    for write, read in (
+        (write_graph_graphml, nx.read_graphml),
+        (write_graph_gexf, nx.read_gexf),
+        (write_graph_gml, nx.read_gml),
+    ):
+        g3 = read(write(art.G, str(tmp_path)))
+        assert g3.number_of_nodes() == art.G.number_of_nodes()
+        assert g3.number_of_edges() == art.G.number_of_edges()
 
 
 def test_dup_clusters_connected_components(ray_session):
@@ -2676,7 +2687,7 @@ def test_ivfpq_store_prunes_and_matches_full_scan(ray_session, tmp_path):
         ivfpq_topk,
         ivfpq_train,
     )
-    from climatemind_ontology_processing_ray.sinks.partitioned import (
+    from climatemind_ontology_processing_ray.functions.partitioned_sink import (
         MANIFEST,
         _covering_ranges,
     )

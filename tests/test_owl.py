@@ -857,3 +857,160 @@ def test_unsupported_constructs_raise_explicit_diagnostic():
   <owl:Class rdf:about="urn:t#plain"><rdfs:label>plain</rdfs:label></owl:Class>
 </rdf:RDF>"""
     assert parse_owl(clean) is not None
+
+
+# ---- encoding equivalences of the one classification fixpoint ---------
+
+_HEAD = """<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#"
+         xmlns:wp="urn:x#">
+  <owl:Class rdf:about="urn:x#cm"><rdfs:label>climate mind</rdfs:label></owl:Class>
+"""
+
+
+def _individuals(edges: dict[str, list[str]]) -> str:
+    """NamedIndividuals a..z typed climate mind, with wp:P edges."""
+    return "".join(
+        f'<owl:NamedIndividual rdf:about="urn:x#{s}">'
+        f'<rdf:type rdf:resource="urn:x#cm"/><rdfs:label>{s}</rdfs:label>'
+        + "".join(f'<wp:P rdf:resource="urn:x#{o}"/>' for o in outs)
+        + "</owl:NamedIndividual>\n"
+        for s, outs in edges.items()
+    )
+
+
+def _direct_classes(xml: str) -> dict[str, list[str]]:
+    return {
+        lab: node["direct_classes"] for lab, node in parse_owl(xml).individuals.items()
+    }
+
+
+_HAS_SEA = """  <owl:Class rdf:about="urn:x#C"><rdfs:label>reaches sea</rdfs:label>
+    <owl:equivalentClass><owl:Restriction>
+      <owl:onProperty rdf:resource="urn:x#P"/>
+      <owl:hasValue rdf:resource="urn:x#sea"/>
+    </owl:Restriction></owl:equivalentClass>
+  </owl:Class>
+"""
+
+
+def test_transitive_property_is_the_chain_p_p_sub_p():
+    """owl:TransitiveProperty P classifies exactly like the property
+    chain (P, P) ⊑ P: both are the chain rule form of the saturation."""
+    edges = _individuals({"glacier": ["river"], "river": ["lake"], "lake": ["sea"], "sea": [], "pond": []})
+    transitive = (
+        _HEAD
+        + '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>flows to</rdfs:label>'
+        '<rdf:type rdf:resource="http://www.w3.org/2002/07/owl#TransitiveProperty"/>'
+        "</owl:ObjectProperty>\n"
+        + _HAS_SEA + edges + "</rdf:RDF>"
+    )
+    chain = (
+        _HEAD
+        + '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>flows to</rdfs:label>'
+        '<owl:propertyChainAxiom rdf:parseType="Collection">'
+        '<owl:ObjectProperty rdf:about="urn:x#P"/><owl:ObjectProperty rdf:about="urn:x#P"/>'
+        "</owl:propertyChainAxiom></owl:ObjectProperty>\n"
+        + _HAS_SEA + edges + "</rdf:RDF>"
+    )
+    got = _direct_classes(transitive)
+    assert got == _direct_classes(chain)
+    # the 3-hop closure classifies; the unconnected pond does not
+    assert "reaches sea" in got["glacier"]
+    assert "reaches sea" not in got["pond"]
+
+
+def test_symmetric_property_is_its_own_inverse():
+    """owl:SymmetricProperty P classifies exactly like P owl:inverseOf P:
+    both are the inverse rule form of the saturation."""
+    edges = _individuals({"sea": ["coast"], "coast": [], "bay": ["sea"], "hill": []})
+    symmetric = (
+        _HEAD
+        + '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>borders</rdfs:label>'
+        '<rdf:type rdf:resource="http://www.w3.org/2002/07/owl#SymmetricProperty"/>'
+        "</owl:ObjectProperty>\n"
+        + _HAS_SEA + edges + "</rdf:RDF>"
+    )
+    self_inverse = (
+        _HEAD
+        + '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>borders</rdfs:label>'
+        '<owl:inverseOf rdf:resource="urn:x#P"/></owl:ObjectProperty>\n'
+        + _HAS_SEA + edges + "</rdf:RDF>"
+    )
+    got = _direct_classes(symmetric)
+    assert got == _direct_classes(self_inverse)
+    assert "reaches sea" in got["coast"]  # mirrored edge
+    assert "reaches sea" in got["bay"]  # asserted edge
+    assert "reaches sea" not in got["hill"]
+
+
+def test_bare_restriction_is_a_one_member_intersection():
+    """C ≡ ∃P.D classifies exactly like C ≡ ⊓(∃P.D): a bare restriction
+    is one defined-class rule with a single conjunct, including when
+    the filler is itself a defined class (the fixpoint chains)."""
+    restr = lambda v: (  # noqa: E731
+        '<owl:Restriction><owl:onProperty rdf:resource="urn:x#P"/>'
+        f'<owl:someValuesFrom rdf:resource="urn:x#{v}"/></owl:Restriction>'
+    )
+    classes = {"Wet": "Sea", "Wetter": "Wet"}
+    decls = (
+        '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>feeds</rdfs:label></owl:ObjectProperty>\n'
+        '<owl:Class rdf:about="urn:x#Sea"><rdfs:label>sea class</rdfs:label></owl:Class>\n'
+    )
+    edges = _individuals({"spring": ["river"], "river": ["ocean"], "ocean": [], "rock": []})
+    edges = edges.replace(
+        '<rdfs:label>ocean</rdfs:label>',
+        '<rdfs:label>ocean</rdfs:label><rdf:type rdf:resource="urn:x#Sea"/>',
+    )
+
+    def doc(wrap) -> str:
+        defs = "".join(
+            f'<owl:Class rdf:about="urn:x#{c}"><rdfs:label>{c.lower()}</rdfs:label>'
+            f"<owl:equivalentClass>{wrap(restr(v))}</owl:equivalentClass></owl:Class>\n"
+            for c, v in classes.items()
+        )
+        return _HEAD + decls + defs + edges + "</rdf:RDF>"
+
+    bare = _direct_classes(doc(lambda r: r))
+    one_member = _direct_classes(
+        doc(
+            lambda r: '<owl:Class><owl:intersectionOf rdf:parseType="Collection">'
+            f"{r}</owl:intersectionOf></owl:Class>"
+        )
+    )
+    assert bare == one_member
+    assert "wet" in bare["river"] and "wetter" in bare["spring"]
+    assert "wet" not in bare["rock"]
+
+
+def test_intersection_subsumptions_precede_union_subsumptions():
+    """class_parents order (it reaches to_json() and the run key): named
+    equivalences first, then every intersection subsumption C ⊑ Di, then
+    every union subsumption Di ⊑ C — even when the union comes first in
+    the document."""
+    xml = (
+        _HEAD
+        + """  <owl:Class rdf:about="urn:x#U"><rdfs:label>u</rdfs:label>
+    <owl:equivalentClass><owl:Class><owl:unionOf rdf:parseType="Collection">
+      <rdf:Description rdf:about="urn:x#A"/><rdf:Description rdf:about="urn:x#D"/>
+    </owl:unionOf></owl:Class></owl:equivalentClass>
+  </owl:Class>
+  <owl:Class rdf:about="urn:x#A"><rdfs:label>a</rdfs:label>
+    <rdfs:subClassOf rdf:resource="urn:x#cm"/>
+    <owl:equivalentClass><owl:Class><owl:intersectionOf rdf:parseType="Collection">
+      <rdf:Description rdf:about="urn:x#B"/><rdf:Description rdf:about="urn:x#C"/>
+    </owl:intersectionOf></owl:Class></owl:equivalentClass>
+    <owl:equivalentClass rdf:resource="urn:x#E"/>
+  </owl:Class>
+  <owl:Class rdf:about="urn:x#B"><rdfs:label>b</rdfs:label></owl:Class>
+  <owl:Class rdf:about="urn:x#C"><rdfs:label>c</rdfs:label></owl:Class>
+  <owl:Class rdf:about="urn:x#D"><rdfs:label>d</rdfs:label></owl:Class>
+  <owl:Class rdf:about="urn:x#E"><rdfs:label>e</rdfs:label></owl:Class>
+</rdf:RDF>"""
+    )
+    parents = parse_owl(xml).class_parents
+    assert parents["a"] == ("climate mind", "e", "b", "c", "u")
+    assert parents["d"] == ("u",)
+    assert parents["e"] == ("a",)

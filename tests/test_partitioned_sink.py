@@ -8,12 +8,12 @@ import pytest
 
 import ray.data as rd
 
-from climatemind_ontology_processing_ray.sinks import (
+from climatemind_ontology_processing_ray.functions.partitioned_sink import (
     lookup_key,
     read_key_range,
     write_range_partitioned,
 )
-from climatemind_ontology_processing_ray.sinks.partitioned import (
+from climatemind_ontology_processing_ray.functions.partitioned_sink import (
     MANIFEST,
     _covering_ranges,
 )
@@ -79,7 +79,7 @@ class TestCompaction:
 
         import ray.data as rd
 
-        from climatemind_ontology_processing_ray.sinks.partitioned import (
+        from climatemind_ontology_processing_ray.functions.partitioned_sink import (
             compact_partitions,
             read_key_range,
             write_range_partitioned,
@@ -118,7 +118,7 @@ class TestCompaction:
             after.sort_values("k").reset_index(drop=True)[["k", "v"]],
         )
         # point lookups still hit
-        from climatemind_ontology_processing_ray.sinks.partitioned import lookup_key
+        from climatemind_ontology_processing_ray.functions.partitioned_sink import lookup_key
 
         assert lookup_key(out, "key0123").to_pandas().v.tolist() == [123]
 
@@ -131,7 +131,7 @@ class TestCompaction:
         repairs it: the staged set rolls forward when it holds the
         manifest's rows, else ``.old`` is restored.  Either way every row
         is found and no ``.old`` / ``.compact.tmp`` dir is left."""
-        from climatemind_ontology_processing_ray.sinks.partitioned import (
+        from climatemind_ontology_processing_ray.functions.partitioned_sink import (
             compact_partitions,
         )
 

@@ -333,14 +333,14 @@ def test_skew_stress_partial_rows_bounded(ray_session, snapshot):
 
 
 def test_extract_link_fn_matches_driver_kernels(ray_session, snapshot):
-    """make_extract_link_fn (the task-based extract+link used by the
+    """per_worker(ExtractLink, ...) (the task-based extract+link used by the
     provenance join in kg_edge_timespan) must emit exactly the rows of
     ``EntityLinker(TripleExtractor(batch))`` called on the driver."""
     import pandas as pd
     import ray.data
 
     from climatemind_ontology_processing_ray import stages as S
-    from climatemind_ontology_processing_ray.stages.fused import make_extract_link_fn
+    from climatemind_ontology_processing_ray.stages.fused import ExtractLink, per_worker
 
     table, _ = generate_pages(snapshot, 64, seed=13)
     sj = snapshot.to_json()
@@ -357,7 +357,7 @@ def test_extract_link_fn_matches_driver_kernels(ray_session, snapshot):
         ray.data.from_arrow(table)
         .repartition(4)
         .map_batches(S.extract_pages_batch, batch_format="pyarrow")
-        .map_batches(make_extract_link_fn(snapshot_json=sj, threshold=0.85), batch_format="pyarrow")
+        .map_batches(per_worker(ExtractLink, sj, 0.85), batch_format="pyarrow")
     )
     assert kernels.num_rows > 0
     pd.testing.assert_frame_equal(
