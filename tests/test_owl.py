@@ -871,7 +871,8 @@ _HEAD = """<?xml version="1.0"?>
 
 
 def _individuals(edges: dict[str, list[str]]) -> str:
-    """NamedIndividuals a..z typed climate mind, with wp:P edges."""
+    """One NamedIndividual per key, typed climate mind, with a wp:P edge
+    to each listed individual."""
     return "".join(
         f'<owl:NamedIndividual rdf:about="urn:x#{s}">'
         f'<rdf:type rdf:resource="urn:x#cm"/><rdfs:label>{s}</rdfs:label>'
@@ -950,10 +951,12 @@ def test_bare_restriction_is_a_one_member_intersection():
     """C ≡ ∃P.D classifies exactly like C ≡ ⊓(∃P.D): a bare restriction
     is one defined-class rule with a single conjunct, including when
     the filler is itself a defined class (the fixpoint chains)."""
-    restr = lambda v: (  # noqa: E731
-        '<owl:Restriction><owl:onProperty rdf:resource="urn:x#P"/>'
-        f'<owl:someValuesFrom rdf:resource="urn:x#{v}"/></owl:Restriction>'
-    )
+    def restr(v: str) -> str:
+        return (
+            '<owl:Restriction><owl:onProperty rdf:resource="urn:x#P"/>'
+            f'<owl:someValuesFrom rdf:resource="urn:x#{v}"/></owl:Restriction>'
+        )
+
     classes = {"Wet": "Sea", "Wetter": "Wet"}
     decls = (
         '<owl:ObjectProperty rdf:about="urn:x#P"><rdfs:label>feeds</rdfs:label></owl:ObjectProperty>\n'
