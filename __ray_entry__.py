@@ -5,7 +5,7 @@ nothing here (or in the library code) calls ``ray.init``/``ray.shutdown``.
 
 - ``entry()`` — flagship KG-construction pipeline on sf0.001: synthesized
   Common-Crawl-style pages -> extract -> one fused triple/link operator
-  -> one canonicalization exchange -> canonical edge table.
+  -> fan-in combine -> one final merge task -> canonical edge table.
 - ``queries()`` — one entry per implemented operator/pipeline (SURVEY §2
   + the training-data operator set); each takes ``sf_dir``.
 - ``oracle_sql()`` — DuckDB equivalents for every SQL-expressible entry.

@@ -285,7 +285,7 @@ def _get_mitigations(B: nx.DiGraph) -> tuple[list[str], list[str]]:
     """
     if ROOT_NODE not in B:
         return [], []
-    rev_reach = set(custom_bfs(B, ROOT_NODE, "reverse", "any").nodes)
+    rev_reach = nx.ancestors(B, ROOT_NODE) | {ROOT_NODE}
     upstream: list[str] = []
     for a, b in sorted(B.edges):
         if b in rev_reach and B[a][b]["type"] == CAUSES:

@@ -1,9 +1,9 @@
 """Graph output writers (SURVEY §2.1 S2-S7).
 
 The enriched graph is ontology-sized, so — like the reference — final
-graph artifacts are driver-side files; the web-scale outputs (canonical
-edge table, adjacency partitions) are Parquet directories written by Ray
-Data sinks (stages/adjacency.py).
+graph artifacts are driver-side files; so are the edge tables
+(canonical edges, adjacency lists, nodes), Parquet directories written
+with pyarrow from one driver-side edge table (``pipelines/api.py``).
 
 Reference formats reproduced:
 - edge CSV ``output.csv`` with columns subject,object,predicate

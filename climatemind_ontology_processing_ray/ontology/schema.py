@@ -2,9 +2,10 @@
 
 The reference keeps the ontology as a live owlready2 world and queries it
 with per-node linear scans (``search_one``, ``make_graph_class.py:114``).
-At web scale the ontology is a *small broadcast artifact*: parsed once on
-the driver, snapshotted to plain tables, shipped to every actor via
-``ray.put`` and indexed in actor ``__init__``.
+At web scale the ontology is a *small side input*: parsed once on the
+driver, snapshotted to plain tables, shipped as JSON inside the front
+end's task fn and indexed once per worker process (``stages/fused.py``
+``per_worker``).
 
 The snapshot models exactly the content the reference consumes:
 

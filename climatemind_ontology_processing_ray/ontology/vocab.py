@@ -41,8 +41,6 @@ EXPOSURE = normalize_predicate_label(RAW_EXPOSURE)
 POPULATION = normalize_predicate_label(RAW_POPULATION)
 IS_A = "is_a"
 
-ALL_PREDICATES = (CAUSES, INHIBITS, MYTH_ABOUT, EXPOSURE, POPULATION, IS_A)
-
 # Annotation source types (ontology_processing_utils.py:65-75).
 SOURCE_TYPES = (
     "dc_source",
@@ -163,4 +161,3 @@ CLIMATE_MIND = "climate mind"
 FEEDBACK_LOOP_CLASS = "feedback loop"
 GREENHOUSE_GAS_CLASS = "increase in atmospheric greenhouse gas"
 ROOT_CAUSE_CLASS = "root cause linked to humans"
-RISK_SOLUTION_CLASS = "risk solution"

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 
+import networkx as nx
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -45,12 +46,13 @@ from .kg import (
 def _load_snapshot(snapshot: OntologySnapshot | str | None) -> OntologySnapshot:
     """Accepts a snapshot object, a path to a snapshot JSON, or a path to
     an OWL RDF/XML file (the reference's native input format,
-    ``make_network.py:34``) — sniffed by content, not extension."""
+    ``make_network.py:34``) — sniffed by content (after any UTF-8 BOM),
+    not extension."""
     if snapshot is None:
         return build_fixture_snapshot()
     if isinstance(snapshot, str):
         with open(snapshot, "rb") as f:
-            head = f.read(256).lstrip()
+            head = f.read(256).removeprefix(b"\xef\xbb\xbf").lstrip()
         if head.startswith(b"<"):
             from ..ontology.owl_io import parse_owl
 
@@ -77,16 +79,10 @@ def output_edges(
     # once, then the same table filtered on the driver (the reference's
     # `-source` DFS-root restriction, make_network.py:72-76)
     table = edge_table(edges)
-    adj: dict[str, list[str]] = {}
-    for s, o in zip(table.column("subject").to_pylist(), table.column("object").to_pylist()):
-        adj.setdefault(s, []).append(o)
-    reach = {source}
-    stack = [source]
-    while stack:
-        for nb in adj.get(stack.pop(), ()):
-            if nb not in reach:
-                reach.add(nb)
-                stack.append(nb)
+    g = nx.DiGraph(
+        zip(table.column("subject").to_pylist(), table.column("object").to_pylist())
+    )
+    reach = {source} | (nx.descendants(g, source) if source in g else set())
     keep = pc.is_in(table.column("subject"), value_set=pa.array(sorted(reach), pa.string()))
     return ray.data.from_arrow(table.filter(keep))
 

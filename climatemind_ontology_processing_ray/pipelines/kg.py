@@ -58,11 +58,6 @@ class KGConfig:
     # quality gate: pages whose extracted text is shorter are dropped with
     # the language filter (0 disables)
     min_text_chars: int = 0
-    # extension surface (SURVEY §2.9): inject custom extractor/linker
-    # callable classes (same constructor/__call__ contract as the defaults);
-    # they run inside the one front-end operator (stages/fused.py)
-    triple_extractor_cls: type | None = None
-    entity_linker_cls: type | None = None
 
 
 @dataclass
@@ -83,12 +78,9 @@ def keep_pages(
     batch: pa.Table, keep_langs: tuple[str, ...], min_text_chars: int = 0
 ) -> pa.Table:
     """The lang/quality kernel over extracted pages: keep the rows whose
-    extraction succeeded, whose ``lang`` is in ``keep_langs`` and whose
-    extracted text has at least ``min_text_chars`` characters (0 disables)."""
-    mask = pc.and_(
-        pc.is_in(batch.column("lang"), value_set=pa.array(list(keep_langs), pa.string())),
-        batch.column("extract_ok"),
-    )
+    ``lang`` is in ``keep_langs`` and whose extracted text has at least
+    ``min_text_chars`` characters (0 disables)."""
+    mask = pc.is_in(batch.column("lang"), value_set=pa.array(list(keep_langs), pa.string()))
     if min_text_chars:
         mask = pc.and_(
             mask,
@@ -153,18 +145,12 @@ def corpus_digest(pages: Dataset) -> str:
     return f"rows={rows}|{total:032x}"
 
 
-def _qualname(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
 def run_kg_pipeline(
     pages: Dataset, snap: OntologySnapshot, cfg: KGConfig | None = None
 ) -> KGResult:
     """Run the distributed front end; the returned canonical edge Dataset is
     lazy unless checkpointing forced stage materialization."""
     cfg = cfg or KGConfig()
-    extractor_cls = cfg.triple_extractor_cls or S.TripleExtractor
-    linker_cls = cfg.entity_linker_cls or S.EntityLinker
     # the snapshot is ~100 KB JSON: shipped inline in the task fn's closure
     # (self-contained; for genuinely large snapshots switch to ray.put)
     snapshot_json = snap.to_json()
@@ -202,8 +188,6 @@ def run_kg_pipeline(
             cfg.min_text_chars,
             cfg.link_threshold,
             cfg.sources_cap,
-            _qualname(extractor_cls),
-            _qualname(linker_cls),
         )
         fp = hashlib.sha1(
             (corpus_fp + snapshot_json + repr(output_cfg)).encode()
@@ -222,8 +206,6 @@ def run_kg_pipeline(
                 threshold=cfg.link_threshold,
                 num_salts=cfg.num_salts,
                 sources_cap=cfg.sources_cap,
-                extractor_cls=extractor_cls,
-                linker_cls=linker_cls,
             ),
             batch_format="pyarrow",
             batch_size=cfg.batch_size,

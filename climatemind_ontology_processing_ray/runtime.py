@@ -6,9 +6,10 @@ calls ``ray.init`` — the session belongs to the caller.
 
 Why ``op_resource_reservation_enabled = False``: ray 2.49's streaming
 executor reserves a resource quota per operator; on pipelines shaped
-like this engine's (read -> heavy fused map -> sort -> map -> sort) the
-reservation starves the heavy map at low CPU counts — measured on the
-400k-page KG corpus: 8 CPUs ran the fused map effectively SERIAL
+like this engine's (read -> heavy fused map -> lighter operators: two
+sorts when this was measured, a fan-in map and one merge task today)
+the reservation starves the heavy map at low CPU counts — measured on
+the 400k-page KG corpus: 8 CPUs ran the fused map effectively SERIAL
 (35.7s wall for 33.7 CPU-seconds; whole pipeline 40.3s).  Disabling the
 reservation restores expected scaling: 8.6s at 8 CPUs, 13.0s at 4,
 4.9s at 16 — a 3-4.7x wall-time win at constrained parallelism with no

@@ -20,7 +20,6 @@ crawl export includes.
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 from ray.data import Dataset
@@ -39,11 +38,13 @@ PAGES_SCHEMA = pa.schema(
 def _parse_iso_ts(col):
     """ISO-8601 string → timestamp[us], accepting the variants crawl
     exports actually emit: plain ``YYYY-MM-DDTHH:MM:SS``, fractional
-    seconds, a ``Z`` suffix, and numeric zone offsets (normalized to UTC
-    wall time).  Arrow's native ISO cast covers plain + fractional;
-    zone-bearing strings parse as tz-aware UTC and the zone is dropped;
-    a final strptime-coalesce pass nulls (rather than raises on)
-    unrecognized rows so one odd record cannot fail the whole read."""
+    seconds (finer than µs truncates), a ``Z`` suffix, and numeric zone
+    offsets (normalized to UTC wall time).  Arrow's native ISO cast covers
+    a column of naive strings, or one of zone-bearing strings; anything
+    else (a mixed batch, sub-µs fractions, garbage) takes one per-value
+    pandas pass that nulls, rather than raises on, unrecognized rows (and,
+    in such a batch, rows outside pandas' nanosecond range, years
+    1677-2262) so one odd record cannot fail the whole read."""
     try:
         return col.cast(pa.timestamp("us"))
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
@@ -52,38 +53,12 @@ def _parse_iso_ts(col):
         return col.cast(pa.timestamp("us", "UTC")).cast(pa.timestamp("us"))
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
         pass
-    out = None
-    for fmt in (
-        "%Y-%m-%dT%H:%M:%S",
-        "%Y-%m-%dT%H:%M:%S%z",
-        "%Y-%m-%d %H:%M:%S",
-        "%Y-%m-%d",
-    ):
-        try:
-            parsed = pc.strptime(col, format=fmt, unit="us", error_is_null=True)
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-            continue
-        if parsed.type != pa.timestamp("us"):
-            parsed = parsed.cast(pa.timestamp("us"))
-        out = parsed if out is None else pc.coalesce(out, parsed)
-    if out is None:
-        out = pa.nulls(len(col), pa.timestamp("us"))
-    # Per-value rescue before nulling: a batch mixing zone-bearing and
-    # naive strings fails BOTH whole-column casts, and Arrow strptime has
-    # no fractional-seconds directive, so fractional naive rows would
-    # otherwise null out.  pandas ISO parsing is per-value and zone-aware;
-    # utc=True + tz_localize(None) matches the "normalize to UTC wall
-    # time, drop the zone" contract for both naive and offset strings.
-    if pc.any(pc.is_null(out)).as_py() and not pc.all(pc.is_null(col)).as_py():
-        import pandas as _pd
+    import pandas as pd
 
-        rescued = pa.Array.from_pandas(
-            _pd.to_datetime(
-                col.to_pandas(), utc=True, errors="coerce", format="mixed"
-            ).dt.tz_localize(None)
-        ).cast(pa.timestamp("us"))
-        out = pc.coalesce(out, rescued)
-    return out
+    parsed = pd.to_datetime(col.to_pandas(), utc=True, errors="coerce", format="mixed")
+    return pa.Array.from_pandas(parsed.dt.tz_localize(None)).cast(
+        pa.timestamp("us"), safe=False
+    )
 
 
 def _coerce(batch: pa.Table) -> pa.Table:

@@ -37,7 +37,6 @@ from ..ontology.vocab import (
     MYTH_ABOUT,
     POPULATION,
 )
-from ..stages.extract import extract_text
 
 # predicate -> (templates, subject_first).  When subject_first is False the
 # OBJECT of the triple is the first mention in the sentence (the inhibition
@@ -234,12 +233,6 @@ def _render_html(title: str, sentences: list[str], malformed: bool) -> bytes:
             f"</body></html>"
         )
     return doc.encode("utf-8")
-
-
-def expected_extracted_text(html: bytes) -> str:
-    """The byte-identical-per-url invariant target: same frozen function the
-    pipeline uses (SURVEY §7.4)."""
-    return extract_text(html)
 
 
 def write_pages_parquet(

@@ -3,8 +3,7 @@
 ``extract_text`` is a FROZEN pure function of the ``html`` bytes — no
 locale, no dict-order, no wall-clock dependence — so its output is
 byte-identical per url at any parallelism level (input_hint invariant;
-SURVEY §7.4).  The pages *generator* computes each page's expected text
-with this same function object, making the invariant structural.
+SURVEY §7.4).
 
 The batch stage runs as stateless ``map_batches`` tasks over zero-copy
 Arrow batches and drops the wide ``html`` column immediately after
@@ -123,7 +122,7 @@ def _extract_vectorized(strings: pa.Array) -> pa.Array:
 
 def extract_pages_batch(batch: pa.Table) -> pa.Table:
     """Stateless map_batches body: (url, warc_ts, html, lang) ->
-    (url, warc_ts, lang, extracted_text, extract_ok).
+    (url, warc_ts, lang, extracted_text).
 
     Runs the Arrow-kernel fast path for the whole column; rows the fast
     path cannot reproduce byte-identically (numeric character entities,
@@ -134,9 +133,6 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
 
     html_col = batch.column("html")
-    texts: list[str] | None = None
-    text_col: pa.Array | None = None
-    ok: list[bool]
     try:
         if pa.types.is_binary(html_col.type) or pa.types.is_large_binary(html_col.type):
             strings = html_col.cast(pa.string())  # validates utf-8
@@ -168,24 +164,12 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
                 for i, t in patched.items():
                     texts[i] = t
                 text_col = pa.array(texts, pa.string())
-        ok = [True] * len(text_col)
     except Exception:
-        text_col = None
-    if text_col is None:
         # fallback: invalid utf-8 somewhere in the batch (or kernel
-        # failure) — frozen per-row path, byte-for-byte the reference
-        texts = []
-        ok = []
-        for h in html_col.to_pylist():
-            try:
-                texts.append(extract_text(h or b""))
-                ok.append(True)
-            except Exception:
-                texts.append("")
-                ok.append(False)
-        text_col = pa.array(texts, type=pa.string())
+        # failure) — frozen per-row path, byte-for-byte the reference;
+        # extract_text is total over bytes, so no row can fail here
+        text_col = pa.array(
+            [extract_text(h or b"") for h in html_col.to_pylist()], pa.string()
+        )
     keep = [c for c in ("url", "warc_ts", "lang") if c in batch.column_names]
-    out = batch.select(keep)
-    out = out.append_column("extracted_text", text_col)
-    out = out.append_column("extract_ok", pa.array(ok, type=pa.bool_()))
-    return out
+    return batch.select(keep).append_column("extracted_text", text_col)

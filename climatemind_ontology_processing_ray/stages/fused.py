@@ -11,8 +11,12 @@ executor fuses it with its upstream tasks and the pipeline plan is
     read -> [extract -> lang filter -> THIS] (one fused operator)
          -> fan-in combine -> one final merge task
 
-The extractor and linker classes are parameters (the extension surface,
-SURVEY §2.9): a custom class runs inside the same operator.
+A custom front end is a composition, not a config knob (SURVEY §2.9): a
+UDF that turns extracted pages into triple partials (say a
+``TripleExtractor`` subclass, then ``EntityLinker`` and
+``partial_triple_agg_arrow``) runs as
+``extract_pages(pages, cfg).map_batches(per_worker(MyUDF, ...))``, and
+``canonicalize_partials`` reduces its output.
 """
 
 from __future__ import annotations
@@ -46,18 +50,12 @@ def per_worker(build, *args):
 
 
 class ExtractLink:
-    """pages(extracted_text) -> linked triple rows: ``extractor_cls`` then
-    ``linker_cls``, each with the default classes' constructor contract."""
+    """pages(extracted_text) -> linked triple rows
+    (url, subj_surface, obj_surface, predicate, subj_label, obj_label)."""
 
-    def __init__(
-        self,
-        snapshot_json: str,
-        threshold: float = 0.85,
-        extractor_cls: type = TripleExtractor,
-        linker_cls: type = EntityLinker,
-    ):
-        self.extractor = extractor_cls(snapshot_json=snapshot_json)
-        self.linker = linker_cls(snapshot_json=snapshot_json, threshold=threshold)
+    def __init__(self, snapshot_json: str, threshold: float = 0.85):
+        self.extractor = TripleExtractor(snapshot_json=snapshot_json)
+        self.linker = EntityLinker(snapshot_json=snapshot_json, threshold=threshold)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.linker(self.extractor(batch))
@@ -72,10 +70,8 @@ class PageToTriplePartials(ExtractLink):
         threshold: float = 0.85,
         num_salts: int = 16,
         sources_cap: int = 8,
-        extractor_cls: type = TripleExtractor,
-        linker_cls: type = EntityLinker,
     ):
-        super().__init__(snapshot_json, threshold, extractor_cls, linker_cls)
+        super().__init__(snapshot_json, threshold)
         self.num_salts = num_salts
         self.sources_cap = sources_cap
 
@@ -91,12 +87,6 @@ def make_fused_partials_fn(
     threshold: float = 0.85,
     num_salts: int = 16,
     sources_cap: int = 8,
-    extractor_cls: type = TripleExtractor,
-    linker_cls: type = EntityLinker,
 ):
     """``PageToTriplePartials`` as a stateless task fn (``per_worker``)."""
-    return per_worker(
-        PageToTriplePartials,
-        snapshot_json, threshold, num_salts, sources_cap, extractor_cls, linker_cls,
-    )
-
+    return per_worker(PageToTriplePartials, snapshot_json, threshold, num_salts, sources_cap)

@@ -1,14 +1,16 @@
-"""Entity linking: a stateful stage scoring surface forms against
-canonical ontology IRIs (SURVEY §2.3 A2), its index built once per worker
+"""Entity linking: a stateful stage resolving surface forms to ontology
+node labels (SURVEY §2.3 A2), its index built once per worker
 (``stages/fused.py``).
 
 The reference links by exact label equality (``onto.search_one``,
 ``make_graph_class.py:114``); here linking is: normalize the surface
-(same rule as the canonicalization shuffle key), exact-match against the
-broadcast surface index (score 1.0), fall back to a de-pluralized match
-(score 0.9), otherwise abstain.  Rows where either endpoint abstains or
-scores below the threshold are dropped (precision guard: unknown-entity
-causal sentences must not become triples).
+(``normalize_surface``, the rule the snapshot's surface index is keyed
+on), exact-match against that index (score 1.0), fall back to a
+de-pluralized match (score 0.9), otherwise abstain.  Rows where either
+endpoint abstains or scores below the threshold are dropped (precision
+guard: unknown-entity causal sentences must not become triples).  IRIs
+are not carried here: the node table (``nodes/``) takes them from the
+snapshot.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from ..ontology.schema import OntologySnapshot, normalize_surface
 class EntityLinker:
     """pre-link triples -> linked triples.
 
-    Adds subj_label, obj_label, subj_iri, obj_iri, subj_score, obj_score
-    and filters to rows where both endpoints link at >= threshold.
+    Adds subj_label, obj_label and filters to rows where both endpoints
+    link at >= threshold.
     """
 
     def __init__(self, snapshot_json: str, threshold: float = 0.85):
-        snap = OntologySnapshot.from_json(snapshot_json)
-        self.index = snap.surface_index()
-        self.iris = {label: node["iri"] for label, node in snap.individuals.items()}
+        self.index = OntologySnapshot.from_json(snapshot_json).surface_index()
         self.threshold = threshold
 
     def _link(self, surface: str) -> tuple[str | None, float]:
@@ -47,9 +47,7 @@ class EntityLinker:
         obj_surfaces = batch.column("obj_surface").to_pylist()
         # memoized per-batch lookups (surfaces repeat heavily under Zipf skew)
         cache: dict[str, tuple[str | None, float]] = {}
-        keep_idx, s_label, o_label, s_iri, o_iri, s_score, o_score = (
-            [], [], [], [], [], [], [],
-        )
+        keep_idx, s_label, o_label = [], [], []
         for i, (ss, os_) in enumerate(zip(subj_surfaces, obj_surfaces)):
             ls = cache.get(ss)
             if ls is None:
@@ -68,15 +66,7 @@ class EntityLinker:
                 keep_idx.append(i)
                 s_label.append(ls[0])
                 o_label.append(lo[0])
-                s_iri.append(self.iris[ls[0]])
-                o_iri.append(self.iris[lo[0]])
-                s_score.append(ls[1])
-                o_score.append(lo[1])
         out = batch.take(pa.array(keep_idx, pa.int64()))
         out = out.append_column("subj_label", pa.array(s_label, pa.string()))
         out = out.append_column("obj_label", pa.array(o_label, pa.string()))
-        out = out.append_column("subj_iri", pa.array(s_iri, pa.string()))
-        out = out.append_column("obj_iri", pa.array(o_iri, pa.string()))
-        out = out.append_column("subj_score", pa.array(s_score, pa.float32()))
-        out = out.append_column("obj_score", pa.array(o_score, pa.float32()))
         return out

@@ -40,11 +40,6 @@ def sentence_id(low: str, pos: int) -> int:
     )
 
 
-def sentence_start(low: str, pos: int) -> int:
-    """Offset of the first character of the sentence holding ``pos``."""
-    return max(low.rfind(c, 0, pos) for c in SENTENCE_ENDS) + 1
-
-
 def build_surface_pattern(surface_forms: Iterable[str]) -> re.Pattern:
     """Longest-first, word-boundary alternation over lowercased variants."""
     variants = sorted({v.lower() for v in surface_forms if v}, key=len, reverse=True)

@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from ..ontology.schema import OntologySnapshot
 from ..ontology.vocab import CAUSES, EXPOSURE, INHIBITS, IS_A, MYTH_ABOUT, POPULATION
-from .mentions import SENTENCE_ENDS, sentence_id, sentence_start, snapshot_surface_pattern
+from .mentions import SENTENCE_ENDS, snapshot_surface_pattern
 
 # connective text (lowercased, stripped) -> (predicate, subject_first)
 CONNECTIVES: dict[str, tuple[str, bool]] = {
@@ -45,8 +45,7 @@ _GAP_STRIP = " \t,;:"
 class TripleExtractor:
     """pages(extracted_text) -> pre-link triple rows.
 
-    Output schema: url, sent_id, subj_surface, obj_surface, predicate,
-    evidence (the matched sentence).
+    Output schema: url, subj_surface, obj_surface, predicate.
     """
 
     def __init__(self, snapshot_json: str):
@@ -58,7 +57,7 @@ class TripleExtractor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
         texts = batch.column("extracted_text").to_pylist()
-        o_url, o_sid, o_subj, o_obj, o_pred, o_evidence = [], [], [], [], [], []
+        o_url, o_subj, o_obj, o_pred = [], [], [], []
         max_gap = self._MAX_GAP
         for url, text in zip(urls, texts):
             low = (text or "").lower()
@@ -79,22 +78,15 @@ class TripleExtractor:
                 predicate, subject_first = hit
                 a, b = m1.group(0), m2.group(0)
                 subj, obj = (a, b) if subject_first else (b, a)
-                # sentence id + evidence derived lazily, only on a hit
-                start = sentence_start(low, m1.start())
-                end = m2.end()
                 o_url.append(url)
-                o_sid.append(sentence_id(low, m1.start()))
                 o_subj.append(subj)
                 o_obj.append(obj)
                 o_pred.append(predicate)
-                o_evidence.append(text[start : end + 1].strip()[:300])
         return pa.table(
             {
                 "url": pa.array(o_url, pa.string()),
-                "sent_id": pa.array(o_sid, pa.int32()),
                 "subj_surface": pa.array(o_subj, pa.string()),
                 "obj_surface": pa.array(o_obj, pa.string()),
                 "predicate": pa.array(o_pred, pa.string()),
-                "evidence": pa.array(o_evidence, pa.string()),
             }
         )

@@ -3,8 +3,6 @@
 import os
 import pickle
 
-import pytest
-
 from climatemind_ontology_processing_ray.pipelines.api import output_edges, process_pages
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
@@ -76,52 +74,20 @@ def test_cli_synth_and_edges(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "pages-00000.parquet"))
 
 
-@pytest.mark.parametrize("custom", ["extractor", "linker"])
-def test_custom_extractor_extension(ray_session, snapshot, tmp_path, custom):
-    """SURVEY §2.9 extension surface: a user-injected extractor or linker
-    class runs inside the one front-end operator, under the same
-    checkpoint stages as the default."""
+def test_custom_extractor_extension(ray_session, snapshot):
+    """SURVEY §2.9 extension surface, by composition: a ``TripleExtractor``
+    subclass inside a user UDF, run with ``per_worker`` over
+    ``extract_pages`` and reduced by ``canonicalize_partials``."""
     import pyarrow as pa
     import ray.data
 
-    from climatemind_ontology_processing_ray.pipelines.kg import run_kg_pipeline
+    from climatemind_ontology_processing_ray.pipelines.kg import extract_pages
+    from climatemind_ontology_processing_ray.stages.canonicalize import (
+        canonicalize_partials,
+        partial_triple_agg_arrow,
+    )
+    from climatemind_ontology_processing_ray.stages.fused import per_worker
     from climatemind_ontology_processing_ray.stages.link import EntityLinker
-    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
-
-    def only_causes(out: pa.Table) -> pa.Table:
-        return out.filter(
-            pa.compute.equal(out.column("predicate"), pa.scalar("causes_or_promotes"))
-        )
-
-    class OnlyCausesExtractor(TripleExtractor):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return only_causes(super().__call__(batch))
-
-    class OnlyCausesLinker(EntityLinker):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return only_causes(super().__call__(batch))
-
-    table, _ = generate_pages(snapshot, 150, seed=13)
-    pages = ray.data.from_arrow(table).repartition(2)
-    if custom == "extractor":
-        classes = {"triple_extractor_cls": OnlyCausesExtractor}
-    else:
-        classes = {"entity_linker_cls": OnlyCausesLinker}
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path), **classes)
-    res = run_kg_pipeline(pages, snapshot, cfg)
-    rows = res.canonical_edges.take_all()
-    assert rows and all(r["predicate"] == "causes_or_promotes" for r in rows)
-    assert res.checkpoints.misses == ["partials", "canonical_edges"]
-    assert sorted(os.listdir(tmp_path)) == ["canonical_edges", "partials"]
-
-
-def test_worker_cache_keys_on_custom_classes(snapshot):
-    """One process serving the default and a custom front end builds each
-    once: the per-worker cache key holds the extractor and linker classes."""
-    import pyarrow as pa
-
-    from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
-    from climatemind_ontology_processing_ray.stages.fused import make_fused_partials_fn
     from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
 
     class OnlyCausesExtractor(TripleExtractor):
@@ -131,13 +97,21 @@ def test_worker_cache_keys_on_custom_classes(snapshot):
                 pa.compute.equal(out.column("predicate"), pa.scalar("causes_or_promotes"))
             )
 
-    table, _ = generate_pages(snapshot, 50, seed=13)
-    batch = extract_pages_batch(table)
-    sj = snapshot.to_json()
-    default = make_fused_partials_fn(snapshot_json=sj)(batch)
-    custom = make_fused_partials_fn(snapshot_json=sj, extractor_cls=OnlyCausesExtractor)(batch)
-    assert set(default.column("predicate").to_pylist()) != {"causes_or_promotes"}
-    assert set(custom.column("predicate").to_pylist()) == {"causes_or_promotes"}
+    class OnlyCausesPartials:
+        def __init__(self, snapshot_json: str):
+            self.extractor = OnlyCausesExtractor(snapshot_json)
+            self.linker = EntityLinker(snapshot_json)
+
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return partial_triple_agg_arrow(self.linker(self.extractor(batch)))
+
+    table, _ = generate_pages(snapshot, 150, seed=13)
+    pages = ray.data.from_arrow(table).repartition(2)
+    partials = extract_pages(pages, CFG).map_batches(
+        per_worker(OnlyCausesPartials, snapshot.to_json()), batch_format="pyarrow"
+    )
+    rows = canonicalize_partials(partials).take_all()
+    assert rows and all(r["predicate"] == "causes_or_promotes" for r in rows)
 
 
 def test_incremental_merge_equals_full_run(ray_session, snapshot):

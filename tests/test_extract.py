@@ -146,7 +146,6 @@ def test_vectorized_path_byte_identical_fuzz():
     got = out.column("extracted_text").to_pylist()
     expected = [extract_text(h) for h in htmls]
     assert got == expected
-    assert all(out.column("extract_ok").to_pylist())
 
 
 def test_jsonl_pages_source_matches_parquet_path(ray_session, tmp_path):
@@ -233,7 +232,8 @@ def test_parse_iso_ts_mixed_single_batch():
     together fail both whole-column Arrow casts, and Arrow strptime has no
     fractional directive — the per-value rescue must still parse every row
     (regression: fractional rows silently nulled when the batch was mixed;
-    the block-per-row read path masked it)."""
+    the block-per-row read path masked it).  A nanosecond fraction
+    truncates to µs instead of failing the read."""
     import datetime as dt
 
     import pyarrow as pa
@@ -248,6 +248,7 @@ def test_parse_iso_ts_mixed_single_batch():
                     "2024-01-01T00:00:00.123000",
                     "2024-01-01T00:00:00Z",
                     "2024-01-01T02:00:00+02:00",
+                    "2024-01-01T00:00:00.123456789",
                     None,
                 ]
             )
@@ -259,16 +260,16 @@ def test_parse_iso_ts_mixed_single_batch():
         dt.datetime(2024, 1, 1, 0, 0, 0, 123000),
         dt.datetime(2024, 1, 1, 0, 0, 0),
         dt.datetime(2024, 1, 1, 0, 0, 0),
+        dt.datetime(2024, 1, 1, 0, 0, 0, 123456),
         None,
     ]
     assert out.to_pylist() == want
 
 
 def test_triples_and_mentions_share_one_sentence_boundary():
-    """A triple's sent_id and evidence use the same boundary ('.', '!',
-    '?', newline) as the mention stage: after 'Floods rise!' the triple
-    is in sentence 1, like its subject mention, and its evidence starts
-    at the subject."""
+    """Triples pair mentions within one sentence of the mention stage's
+    boundary ('.', '!', '?', newline): 'Floods causes! Deforestation'
+    is no triple, and the one triple's endpoints share a sentence id."""
     import pyarrow as pa
 
     from climatemind_ontology_processing_ray.ontology.schema import OntologySnapshot
@@ -281,13 +282,28 @@ def test_triples_and_mentions_share_one_sentence_boundary():
         class_parents={},
     ).to_json()
     pages = pa.table(
-        {"url": ["u"], "extracted_text": ["Floods rise! Deforestation causes drought."]}
+        {"url": ["u"], "extracted_text": ["Floods causes! Deforestation causes drought."]}
     )
-    triples = TripleExtractor(sj)(pages).to_pylist()
-    mentions = MentionDetector(sj)(pages).to_pylist()
-    assert len(triples) == 1
-    (t,) = triples
-    subj = next(m for m in mentions if m["surface"] == t["subj_surface"])
-    assert t["subj_surface"] == "deforestation"
-    assert t["sent_id"] == subj["sent_id"] == 1
-    assert t["evidence"].startswith("Deforestation")
+    triples = TripleExtractor(sj)(pages).select(["subj_surface", "obj_surface"])
+    assert triples.to_pylist() == [
+        {"subj_surface": "deforestation", "obj_surface": "drought"}
+    ]
+    sids = {m["surface"]: m["sent_id"] for m in MentionDetector(sj)(pages).to_pylist()}
+    assert sids == {"floods": 0, "deforestation": 1, "drought": 1}
+
+
+def test_front_end_kernels_emit_only_what_canonicalization_reads(snapshot):
+    """Schema pin: ``TripleExtractor`` emits url, subj_surface,
+    obj_surface and predicate; ``EntityLinker`` adds only subj_label and
+    obj_label."""
+    from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
+    from climatemind_ontology_processing_ray.stages.link import EntityLinker
+    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
+
+    table, _ = generate_pages(snapshot, 50, seed=13)
+    sj = snapshot.to_json()
+    triples = TripleExtractor(sj)(extract_pages_batch(table))
+    linked = EntityLinker(sj)(triples)
+    assert triples.num_rows and linked.num_rows
+    assert triples.column_names == ["url", "subj_surface", "obj_surface", "predicate"]
+    assert linked.column_names == triples.column_names + ["subj_label", "obj_label"]

@@ -345,6 +345,18 @@ def test_owl_file_feeds_pipeline(ray_session, tmp_path):
     assert len(got & golden) / len(golden) > 0.9
 
 
+def test_load_snapshot_sniffs_owl_after_a_utf8_bom(tmp_path):
+    """An OWL file that starts with a UTF-8 byte-order mark is sniffed as
+    OWL, not JSON, and loads to the plain file's snapshot."""
+    from climatemind_ontology_processing_ray.pipelines.api import _load_snapshot
+
+    xml = write_owl(build_fixture_snapshot())
+    plain, bom = tmp_path / "plain.owl", tmp_path / "bom.owl"
+    plain.write_text(xml, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + xml.encode("utf-8"))
+    assert _load_snapshot(str(bom)).to_json() == parse_owl(str(plain)).to_json()
+
+
 def test_intersection_defined_class_memberships():
     """intersectionOf in equivalentClass (the next pattern after bare
     restrictions, reference make_graph_class.py:71-82 behavior envelope):
