@@ -1490,7 +1490,8 @@ def khop_per_source(
     else:
         ue = _undirected_distinct(edges, src_col, dst_col).materialize()
 
-    if ue.count() <= 2 * driver_threshold:  # ue holds both directions
+    # the undirected ue holds both directions of each edge
+    if ue.count() <= (driver_threshold if directed else 2 * driver_threshold):
         from collections import deque
 
         edf = ue.to_pandas()

@@ -1171,7 +1171,7 @@ def cdc_two_snapshot_diff(
                 "new_id": new[keep],
             }
         )
-        out[key_col] = out[key_col].astype("int64")
+        out[key_col] = out[key_col].astype(g[key_col].dtype)
         return out
 
     return (

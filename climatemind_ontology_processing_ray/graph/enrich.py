@@ -119,25 +119,16 @@ def custom_bfs(
     edge_type: str = CAUSES,
 ) -> nx.DiGraph:
     """Typed-edge BFS returning a copy of the induced subgraph of reached
-    nodes (ontology_processing_utils.py:7-41 semantics, fresh
-    implementation)."""
-    reached: list[str] = [start_node]
-    seen = {start_node}
-    i = 0
-    while i < len(reached):
-        n = reached[i]
-        i += 1
-        if direction in ("reverse", "any"):
-            for u, _, t in graph.in_edges(n, data="type"):
-                if u not in seen and (edge_type == "any" or t == edge_type):
-                    seen.add(u)
-                    reached.append(u)
-        if direction in ("forward", "any"):
-            for _, v, t in graph.out_edges(n, data="type"):
-                if v not in seen and (edge_type == "any" or t == edge_type):
-                    seen.add(v)
-                    reached.append(v)
-    return _induced_copy(graph, reached)
+    nodes (ontology_processing_utils.py:7-41 semantics): reachability over
+    the ``edge_type`` edges (all edges for ``"any"``) along ``direction``
+    (``"forward"``, ``"reverse"``, or ``"any"`` for either)."""
+    view = graph
+    if edge_type != "any":
+        view = nx.subgraph_view(graph, filter_edge=lambda u, v: graph[u][v]["type"] == edge_type)
+    if direction == "any":
+        view = view.to_undirected(as_view=True)
+    reach = nx.ancestors if direction == "reverse" else nx.descendants
+    return _induced_copy(graph, reach(view, start_node) | {start_node})
 
 
 def _dedup_keep_first(items: Iterable) -> list:
@@ -157,9 +148,6 @@ class GraphArtifacts:
     mitigation_solutions: list[str] = field(default_factory=list)
     upstream_nodes: list[str] = field(default_factory=list)
     adaptation_nodes: list[str] = field(default_factory=list)
-    # validation error channel (strict=False): e.g. opposing personal-value
-    # vectors (the reference raises instead, make_graph_class.py:289-290)
-    errors: list[dict] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------- #
@@ -167,16 +155,12 @@ class GraphArtifacts:
 # --------------------------------------------------------------------- #
 
 
-def _attach_node_attributes(
-    G: nx.DiGraph, snap: OntologySnapshot, errors: list[dict] | None = None
-) -> None:
+def _attach_node_attributes(G: nx.DiGraph, snap: OntologySnapshot) -> None:
     """Node attribute projection (make_graph_class.py:113-304): basic info,
     class sets, dynamic superclass keys, properties, data properties,
-    personal-value vectors, political vector.
-
-    With ``errors`` given, validation failures (opposing value vectors,
-    make_graph_class.py:289-290) are recorded there and the conflicted
-    slot becomes None instead of aborting the build."""
+    personal-value vectors, political vector.  Opposing value vectors
+    raise :class:`OpposingValuesError`, as in the reference
+    (make_graph_class.py:289-290)."""
     superclasses = snap.superclasses()
     desc = {sc: snap.class_descendants(sc) for sc in superclasses}
 
@@ -209,14 +193,7 @@ def _attach_node_attributes(
                     attrs[sc] = to_add
         attrs["properties"] = {k: list(v) for k, v in rec["properties"].items()}
         attrs["data_properties"] = dict(rec["data_properties"])
-        try:
-            pv19, pv10 = personal_value_vectors(attrs["data_properties"])
-        except OpposingValuesError as e:
-            if errors is None:
-                raise
-            errors.append({"node": node, "error": "opposing_values", "detail": str(e)})
-            pv19 = [attrs["data_properties"].get(k) for k in PERSONAL_VALUES_19]
-            pv10 = [None] * 10
+        pv19, pv10 = personal_value_vectors(attrs["data_properties"])
         attrs["personal_values_19"] = pv19
         attrs["personal_values_10"] = pv10
         attrs["political_value"] = [
@@ -345,7 +322,8 @@ def _process_adaptations(G: nx.DiGraph, B: nx.DiGraph) -> list[str]:
     if ROOT_NODE not in B:
         return []
     # deterministic order: BFS layer then label
-    order = {n: i for i, n in enumerate(_bfs_order(B, ROOT_NODE))}
+    bfs = [ROOT_NODE] + [v for _, v in nx.bfs_edges(B, ROOT_NODE, sort_neighbors=sorted)]
+    order = {n: i for i, n in enumerate(bfs)}
     rank = lambda n: (order.get(n, 1 << 30), n)
     reach_root = nx.descendants(B, ROOT_NODE) | {ROOT_NODE}
     acyclic = nx.is_directed_acyclic_graph(B)
@@ -369,19 +347,6 @@ def _process_adaptations(G: nx.DiGraph, B: nx.DiGraph) -> list[str]:
             G.nodes[s]["solution sources"] = _solution_sources(G.nodes[s])
         total.extend(solutions)
     return total
-
-
-def _bfs_order(B: nx.DiGraph, start: str) -> list[str]:
-    out = [start]
-    seen = {start}
-    i = 0
-    while i < len(out):
-        for nb in sorted(B.neighbors(out[i])):
-            if nb not in seen:
-                seen.add(nb)
-                out.append(nb)
-        i += 1
-    return out
 
 
 def _get_annotated(B: nx.DiGraph) -> nx.DiGraph:
@@ -529,21 +494,16 @@ def _test_ontology_filter(G: nx.DiGraph) -> nx.DiGraph:
 # --------------------------------------------------------------------- #
 
 
-def build_enriched_graph(
-    edges: Iterable[Triple], snap: OntologySnapshot, strict: bool = True
-) -> GraphArtifacts:
+def build_enriched_graph(edges: Iterable[Triple], snap: OntologySnapshot) -> GraphArtifacts:
     """Run the full reference enrichment recipe (make_graph.py:28-67) over a
-    canonical (subject, object, predicate) edge collection.
-
-    ``strict=True`` reproduces the reference's behavior of raising on
-    opposing value vectors; ``strict=False`` routes such rows to the
-    :attr:`GraphArtifacts.errors` channel and continues."""
+    canonical (subject, object, predicate) edge collection.  A node with
+    opposing value vectors raises :class:`OpposingValuesError`, as in the
+    reference."""
     G = nx.DiGraph()
     for s, o, p in edges:
         G.add_edge(s, o, type=p, properties=None)
 
-    errors: list[dict] = []
-    _attach_node_attributes(G, snap, None if strict else errors)
+    _attach_node_attributes(G, snap)
     to_remove = _set_edge_properties(G)
     _remove_edge_properties_from_nodes(G, to_remove)
     B = _make_acyclic(G)
@@ -568,5 +528,4 @@ def build_enriched_graph(
         mitigation_solutions=mitigation_solutions,
         upstream_nodes=upstream_nodes,
         adaptation_nodes=_dedup_keep_first(adaptation_nodes),
-        errors=errors,
     )

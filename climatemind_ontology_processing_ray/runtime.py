@@ -2,7 +2,8 @@
 
 ``configure_data_context()`` applies the engine's tuned execution
 settings to the CURRENT process's ``ray.data.DataContext``.  It never
-calls ``ray.init`` — the session belongs to the caller.
+calls ``ray.init`` — the session belongs to the caller.  Every session
+owner applies it after ``ray.init``, the CLI (``__main__.py``) included.
 
 Why ``op_resource_reservation_enabled = False``: ray 2.49's streaming
 executor reserves a resource quota per operator; on pipelines shaped

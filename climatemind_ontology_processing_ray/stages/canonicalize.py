@@ -23,7 +23,9 @@ salt:
 
 Every merge is associative (support and counts are sums; sources keep the
 ``sources_cap`` smallest distinct urls, a top-k monoid), so the output rows
-do not depend on batch boundaries or fan-in size (their order does).  The
+do not depend on batch boundaries or fan-in size; :func:`_merge_arrow`
+emits its rows sorted by key (the mentions final sorts by
+``surface_norm``), so neither does their order.  The
 triple partials still carry a ``salt`` column (a hash of the first source
 url); nothing here reads it.
 """
@@ -113,22 +115,25 @@ def _empty_canonical(keys: list[str]) -> pa.Table:
 
 
 def _group_codes(col: pa.Array) -> np.ndarray:
-    """Integer group-identity codes for one key column: dictionary codes
-    for strings (pyarrow hashes each distinct value ONCE), raw values for
-    ints — so multi-key grouping below is pure numpy over ints, with no
-    per-row string compares."""
+    """Order-preserving integer codes for one key column: for strings, the
+    rank of each dictionary value (pyarrow hashes each distinct value ONCE
+    and sorts only the distinct values), raw values for ints — so
+    multi-key grouping below is pure numpy over ints, with no per-row
+    string compares, and groups come out in key order."""
     if pa.types.is_integer(col.type):
         return col.to_numpy(zero_copy_only=False).astype(np.int64)
-    return pc.dictionary_encode(col).indices.to_numpy().astype(np.int64)
+    enc = pc.dictionary_encode(col)
+    rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy().astype(np.int64)
+    return rank[enc.indices.to_numpy()]
 
 
 def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
     """Arrow-native in-partition merge (support sum + sources top-k): no
     Arrow->pandas->Arrow copies, no object-dtype strings.  Grouping =
-    per-column dictionary codes + one numpy lexsort (pyarrow's hash
-    aggregate has no list<string> gather kernel); support merges with an
-    exact int64 reduceat; sources merge via the vectorized
-    :func:`_topk_sources`."""
+    per-column ranked dictionary codes + one numpy lexsort (pyarrow's hash
+    aggregate has no list<string> gather kernel), so the output rows are
+    sorted by ``keys``; support merges with an exact int64 reduceat;
+    sources merge via the vectorized :func:`_topk_sources`."""
     if tbl.num_rows == 0 or (
         {"support", "sources", *keys} - set(tbl.column_names)
     ):
@@ -270,7 +275,8 @@ def canonicalize_partials(
 ) -> Dataset:
     """Partial (or already canonical) edge rows -> canonical edge table:
     :func:`_reduce_once` with :func:`_merge_arrow`.  Arrow end to end; the
-    output rows (not their order) never depend on ``fanin_rows``."""
+    output is sorted by (subject, object, predicate), and neither its rows
+    nor their order depend on ``fanin_rows`` or block arrival order."""
 
     def merge(g: pa.Table) -> pa.Table:
         return _merge_arrow(g, TRIPLE_KEY, sources_cap)

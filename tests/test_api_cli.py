@@ -1,13 +1,19 @@
 """Public API (process_pages / output_edges) and CLI surface."""
 
+import ast
+import json
 import os
+import pathlib
 import pickle
+
+import pytest
 
 from climatemind_ontology_processing_ray.pipelines.api import output_edges, process_pages
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
 
 CFG = KGConfig(batch_size=64)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_process_pages_full_outputs(ray_session, snapshot, tmp_path):
@@ -68,7 +74,7 @@ def test_cli_synth_and_edges(tmp_path):
         ],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=ROOT,
     )
     assert r.returncode == 0, r.stderr
     assert os.path.exists(os.path.join(out_dir, "pages-00000.parquet"))
@@ -150,18 +156,91 @@ def test_cli_process_end_to_end(tmp_path):
     env_cmd = [sys.executable, "-m", "climatemind_ontology_processing_ray"]
     r1 = subprocess.run(
         env_cmd + ["synth", "--out", pages_dir, "--pages", "150"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert r1.returncode == 0, r1.stderr
     r2 = subprocess.run(
         env_cmd + ["process", "--pages", pages_dir, "--out", out_dir, "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert r2.returncode == 0, r2.stderr
+    summary = json.loads(r2.stdout.splitlines()[-1])
+    assert summary["outputs"]["edges_csv"] == os.path.join(out_dir, "output.csv")
+    assert summary["n_edges"] > 0 and "lineage_records" not in summary
     assert os.path.exists(os.path.join(out_dir, "output.csv"))
     assert os.path.exists(os.path.join(out_dir, "graphs_for_visualization.pickle"))
     assert os.listdir(os.path.join(out_dir, "adjacency"))
     assert os.listdir(os.path.join(out_dir, "nodes"))
+
+
+def test_cli_uses_a_running_session_and_its_ontology(ray_session, snapshot, tmp_path, capsys):
+    """Run in-process with a session already up, the CLI leaves it up;
+    ``edges --ontology`` writes the CSV ``output_edges`` gives on that
+    snapshot, and ``process`` prints one JSON summary line."""
+    import copy
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from climatemind_ontology_processing_ray.__main__ import main
+    from climatemind_ontology_processing_ray.graph.writers import read_edges_csv
+
+    pages, onto, csv_path = (str(tmp_path / f) for f in ("p.parquet", "s.json", "e.csv"))
+    pq.write_table(generate_pages(snapshot, 150, seed=13)[0], pages)
+    narrowed = copy.deepcopy(snapshot)
+    del narrowed.individuals["sea level rise"]
+    narrowed.save(onto)
+
+    assert main(["edges", "--pages", pages, "--out", csv_path, "--ontology", onto]) == 0
+    assert ray.is_initialized()
+    rows = output_edges(ray.data.read_parquet(pages), onto).take_all()
+    got = read_edges_csv(csv_path)
+    assert got == sorted({(r["subject"], r["object"], r["predicate"]) for r in rows})
+    assert got and not any("sea level rise" in (s, o) for s, o, _ in got)
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    capsys.readouterr()
+    assert main(["process", "--pages", pages, "--out", out, "--checkpoint-dir", ckpt]) == 0
+    assert ray.is_initialized()
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["lineage_records"] > 0
+    assert summary["outputs"]["edges_csv"] == os.path.join(out, "output.csv")
+
+
+def test_cli_attaches_to_ray_address(monkeypatch):
+    """With ``RAY_ADDRESS`` set (as ``ray job submit`` does) the CLI
+    attaches with a bare ``ray.init()``: no local address, no CPU count."""
+    import ray
+
+    from climatemind_ontology_processing_ray.__main__ import main
+
+    calls: list[tuple] = []
+
+    def init(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise RuntimeError("recorded ray.init")
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init", init)
+    monkeypatch.setenv("RAY_ADDRESS", "auto")
+    with pytest.raises(RuntimeError, match="recorded ray.init"):
+        main(["process", "--pages", "p", "--out", "o", "--num-cpus", "3"])
+    assert calls == [((), {})]
+
+
+def test_every_session_owner_configures_the_data_context():
+    """Every repo file that calls ``ray.init`` also calls
+    ``configure_data_context``, so no entry point runs the engine with
+    Ray Data's default operator resource reservation."""
+    calls = {
+        path.relative_to(ROOT).as_posix(): _calls(path)
+        for path in sorted(ROOT.rglob("*.py"))
+        if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
+    }
+    owners = [name for name, called in calls.items() if "ray.init" in called]
+    assert {"climatemind_ontology_processing_ray/__main__.py", "tests/conftest.py"} <= set(owners)
+    offenders = [name for name in owners if "configure_data_context" not in calls[name]]
+    assert not offenders, f"ray.init without configure_data_context: {offenders}"
 
 
 def test_process_pages_rerun_is_idempotent(ray_session, snapshot, tmp_path):
@@ -178,45 +257,43 @@ def test_process_pages_rerun_is_idempotent(ray_session, snapshot, tmp_path):
     assert n == 97
 
 
+def _calls(path: pathlib.Path) -> set[str]:
+    """The names a file calls: ``f`` for ``f(...)``, and both ``attr`` and
+    ``name.attr`` for ``name.attr(...)``."""
+    called = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                called.add(f.id)
+            elif isinstance(f, ast.Attribute):
+                called.add(f.attr)
+                if isinstance(f.value, ast.Name):
+                    called.add(f"{f.value.id}.{f.attr}")
+    return called
+
+
 def test_driver_contract_owns_no_ray_session():
     """The driver calls ray.init() itself before importing __ray_entry__:
     nothing in the package's query/pipeline surface may init or shutdown
     Ray (bench.py, CLI entry points and the test fixture are the only
     session owners)."""
-    import ast
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    offenders = []
-    surface = [root / "__ray_entry__.py"] + sorted(
-        (root / "climatemind_ontology_processing_ray").rglob("*.py")
+    surface = [ROOT / "__ray_entry__.py"] + sorted(
+        (ROOT / "climatemind_ontology_processing_ray").rglob("*.py")
     )
-    allowed = {"__main__.py"}  # CLI owns its session by design
-    for path in surface:
-        if path.name in allowed:
-            continue
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr in ("init", "shutdown")
-                and isinstance(f.value, ast.Name)
-                and f.value.id == "ray"
-            ):
-                offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [
+        path.name
+        for path in surface
+        if path.name != "__main__.py"  # CLI owns its session by design
+        and _calls(path) & {"ray.init", "ray.shutdown"}
+    ]
     assert not offenders, f"ray session calls inside the driver surface: {offenders}"
 
 
 def test_kg_core_imports_nothing_from_the_registry():
     """The KG core imports nothing from the operator registry
     (``functions/``, ``pipelines/queries``)."""
-    import ast
-    import pathlib
-
-    pkg = pathlib.Path(__file__).resolve().parent.parent / "climatemind_ontology_processing_ray"
+    pkg = ROOT / "climatemind_ontology_processing_ray"
     core = [pkg / "pipelines" / "kg.py", pkg / "pipelines" / "api.py", pkg / "runtime.py"]
     for sub in ("stages", "state", "graph", "ontology", "sources"):
         core += sorted((pkg / sub).rglob("*.py"))
@@ -274,7 +351,7 @@ def test_graph_pickles_are_byte_stable(tmp_path):
             [sys.executable, "-c", _PICKLES_SCRIPT, str(tmp_path / f"run{run}"), str(order_seed)],
             capture_output=True,
             text=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            cwd=ROOT,
             env={**os.environ, "PYTHONHASHSEED": hash_seed},
         )
         assert r.returncode == 0, r.stderr

@@ -181,3 +181,18 @@ def test_canonicalize_plans_have_no_sort(ray_session, linked_blocks):
             zip(naive.field("values").to_pylist(), naive.field("counts").to_pylist())
         )
     ]
+
+
+def test_output_order_is_independent_of_block_order(ray_session, linked_blocks):
+    """Canonical edges leave the final merge sorted by (subject, object,
+    predicate): the same partial blocks arriving in either order give
+    equal tables, so the published ``canonical_edges/`` bytes do not
+    depend on which fan-in block lands first."""
+    a, b = linked_blocks[: N_BLOCKS // 2], linked_blocks[N_BLOCKS // 2 :]
+    ab, ba = (
+        pa.concat_tables(_tables(canonicalize_partials(_partials(bs), SOURCES_CAP, 60)))
+        for bs in (a + b, b + a)
+    )
+    assert ab.equals(ba)
+    keys = list(zip(*(ab.column(c).to_pylist() for c in TRIPLE_KEY)))
+    assert keys == sorted(keys)

@@ -3886,46 +3886,58 @@ def test_global_exclusive_prefix_max_matches_bruteforce(ray_session):
     assert got == [e for e in expect if e is not None]
 
 
-def test_cdc_two_snapshot_diff_classifies(ray_session):
+_CDC_ROWS = [
+    # user 1: present at t1, updated by t2 -> changed
+    {"user_id": 1, "us": 10, "event_id": 100, "event_type": "view"},
+    {"user_id": 1, "us": 60, "event_id": 101, "event_type": "click"},
+    # user 2: appears only after t1 -> added
+    {"user_id": 2, "us": 55, "event_id": 200, "event_type": "view"},
+    # user 3: live at t1, tombstoned by t2 -> removed
+    {"user_id": 3, "us": 20, "event_id": 300, "event_type": "view"},
+    {"user_id": 3, "us": 70, "event_id": 301, "event_type": "error"},
+    # user 4: unchanged -> omitted
+    {"user_id": 4, "us": 30, "event_id": 400, "event_type": "view"},
+    # user 5: tombstoned before t1 AND at t2 -> omitted (never live)
+    {"user_id": 5, "us": 5, "event_id": 500, "event_type": "error"},
+    # user 6: only after t2 -> omitted from both snapshots
+    {"user_id": 6, "us": 99, "event_id": 600, "event_type": "view"},
+]
+
+
+def _cdc_changes(key) -> dict:
+    """``cdc_two_snapshot_diff`` over ``_CDC_ROWS`` with each user id
+    mapped through ``key``, as {key: (change, old_id, new_id)}."""
     import ray
 
     from climatemind_ontology_processing_ray.functions.windows import (
         cdc_two_snapshot_diff,
     )
 
-    rows = [
-        # user 1: present at t1, updated by t2 -> changed
-        {"user_id": 1, "us": 10, "event_id": 100, "event_type": "view"},
-        {"user_id": 1, "us": 60, "event_id": 101, "event_type": "click"},
-        # user 2: appears only after t1 -> added
-        {"user_id": 2, "us": 55, "event_id": 200, "event_type": "view"},
-        # user 3: live at t1, tombstoned by t2 -> removed
-        {"user_id": 3, "us": 20, "event_id": 300, "event_type": "view"},
-        {"user_id": 3, "us": 70, "event_id": 301, "event_type": "error"},
-        # user 4: unchanged -> omitted
-        {"user_id": 4, "us": 30, "event_id": 400, "event_type": "view"},
-        # user 5: tombstoned before t1 AND at t2 -> omitted (never live)
-        {"user_id": 5, "us": 5, "event_id": 500, "event_type": "error"},
-        # user 6: only after t2 -> omitted from both snapshots
-        {"user_id": 6, "us": 99, "event_id": 600, "event_type": "view"},
-    ]
+    rows = [{**r, "user_id": key(r["user_id"])} for r in _CDC_ROWS]
     ds = ray.data.from_items(rows).repartition(3)
-    out = (
-        cdc_two_snapshot_diff(
-            ds, "user_id", "us", "event_id", "event_type", "error", t1=50, t2=90
-        )
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    got = {
-        int(r.user_id): (r.change, int(r.old_id), int(r.new_id))
-        for r in out.itertuples()
+    out = cdc_two_snapshot_diff(
+        ds, "user_id", "us", "event_id", "event_type", "error", t1=50, t2=90
+    ).to_pandas()
+    return {
+        r.user_id: (r.change, int(r.old_id), int(r.new_id)) for r in out.itertuples()
     }
-    assert got == {
+
+
+def test_cdc_two_snapshot_diff_classifies(ray_session):
+    assert _cdc_changes(int) == {
         1: ("changed", 100, 101),
         2: ("added", -1, 200),
         3: ("removed", 300, -1),
+    }
+
+
+def test_cdc_two_snapshot_diff_keeps_string_keys(ray_session):
+    """The output key column keeps the input key dtype: string keys come
+    back as strings instead of failing an int64 cast."""
+    assert _cdc_changes(lambda k: f"u{k}") == {
+        "u1": ("changed", 100, 101),
+        "u2": ("added", -1, 200),
+        "u3": ("removed", 300, -1),
     }
 
 

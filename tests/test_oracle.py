@@ -247,10 +247,9 @@ def test_adaptations_on_a_cyclic_graph_follow_simple_paths():
     assert "stop c" not in G.nodes["b"]["adaptation solutions"]
 
 
-def test_error_channel_non_strict(snapshot, golden):
-    """Validation error channel: a node with opposing value vectors aborts
-    a strict build (reference behavior) but is recorded and skipped with
-    strict=False."""
+def test_opposing_value_vectors_abort_the_build(snapshot, golden):
+    """A node with opposing value vectors aborts the build (reference
+    behavior, make_graph_class.py:289-290)."""
     import copy
 
     bad = copy.deepcopy(snapshot)
@@ -258,7 +257,4 @@ def test_error_channel_non_strict(snapshot, golden):
     rec["data_properties"]["universalism_concern"] = 1
     rec["data_properties"]["universalism_nature"] = -1
     with pytest.raises(OpposingValuesError):
-        build_enriched_graph(golden, bad, strict=True)
-    art = build_enriched_graph(golden, bad, strict=False)
-    assert art.errors and art.errors[0]["node"] == "coastal flooding"
-    assert art.G.nodes["coastal flooding"]["personal_values_10"] == [None] * 10
+        build_enriched_graph(golden, bad)
