@@ -755,7 +755,7 @@ def resample_ffill(
         n = len(g)
         empty = pd.DataFrame(
             {
-                key_col: pd.Series([], dtype="int64"),
+                key_col: pd.Series([], dtype=g[key_col].dtype),
                 out_ts_col: pd.Series([], dtype="int64"),
                 value_col: pd.Series([], dtype=g[value_col].dtype if n else "float64"),
             }
@@ -785,7 +785,7 @@ def resample_ffill(
                 value_col: g[value_col].to_numpy()[rows],
             }
         )
-        out[key_col] = out[key_col].astype("int64")
+        out[key_col] = out[key_col].astype(g[key_col].dtype)
         return out
 
     return (
@@ -915,7 +915,7 @@ def interval_coverage(
         if not n:
             return pd.DataFrame(
                 {
-                    key_col: pd.Series([], dtype="int64"),
+                    key_col: pd.Series([], dtype=g[key_col].dtype),
                     "n_islands": pd.Series([], dtype="int64"),
                     "covered": pd.Series([], dtype="int64"),
                 }
@@ -950,7 +950,7 @@ def interval_coverage(
             .agg(n_islands=("n_islands", "sum"), covered=("covered", "sum"))
             .reset_index()
         )
-        out[key_col] = out[key_col].astype("int64")
+        out[key_col] = out[key_col].astype(g[key_col].dtype)
         out["n_islands"] = out["n_islands"].astype("int64")
         out["covered"] = out["covered"].astype("int64")
         return out

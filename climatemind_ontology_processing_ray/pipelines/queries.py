@@ -9546,7 +9546,7 @@ seeds AS (
   SELECT DISTINCT regexp_extract(url, '^(https?://[^/]+)', 1) || '/' AS node
   FROM pages),
 outd AS (SELECT src, COUNT(*) AS d FROM e GROUP BY src),
-kc AS (SELECT COUNT(*) AS k FROM seeds),
+kc AS (SELECT COUNT(*) AS k FROM seeds JOIN nodes USING (node)),
 r0 AS (
   SELECT nd.node,
          CASE WHEN sd.node IS NOT NULL

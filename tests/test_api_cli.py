@@ -230,8 +230,8 @@ def test_cli_attaches_to_ray_address(monkeypatch):
 
 def test_every_session_owner_configures_the_data_context():
     """Every repo file that calls ``ray.init`` also calls
-    ``configure_data_context``, so no entry point runs the engine with
-    Ray Data's default operator resource reservation."""
+    ``configure_data_context``, so no entry point runs the engine without
+    its executor settings (see ``runtime.py``)."""
     calls = {
         path.relative_to(ROOT).as_posix(): _calls(path)
         for path in sorted(ROOT.rglob("*.py"))

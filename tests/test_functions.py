@@ -3376,7 +3376,8 @@ def test_resample_ffill_matches_bruteforce(ray_session):
     """Grid resample with forward fill: per-key epoch-aligned grid from
     ceil(first/step) to floor(last/step), value = last event at or
     before the instant with (ts, tiebreak) ordering — including exact
-    ts ties and a key whose span covers no grid point."""
+    ts ties and a key whose span covers no grid point.  String keys come
+    back as strings."""
     import ray.data
 
     from climatemind_ontology_processing_ray.functions.windows import (
@@ -3398,28 +3399,31 @@ def test_resample_ffill_matches_bruteforce(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["u", "tus", "v", "eid"])
     df["ts"] = pd.to_datetime(df["tus"], unit="us")
-    out = (
-        resample_ffill(
-            ray.data.from_pandas(df[["u", "ts", "v", "eid"]]).repartition(3),
-            "u",
-            "ts",
-            "v",
-            step,
-            tiebreak_col="eid",
+    for key in (int, lambda u: f"u{u}"):
+        out = (
+            resample_ffill(
+                ray.data.from_pandas(
+                    df[["u", "ts", "v", "eid"]].assign(u=df["u"].map(key))
+                ).repartition(3),
+                "u",
+                "ts",
+                "v",
+                step,
+                tiebreak_col="eid",
+            )
+            .to_pandas()
+            .sort_values(["u", "grid_ts"])
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values(["u", "grid_ts"])
-        .reset_index(drop=True)
-    )
-    got = list(map(tuple, out[["u", "grid_ts", "v"]].to_numpy()))
-    # key 1: grid 10/20/30s (tie at 12s: eid 2 wins from t=20s on);
-    # key 2: no grid point in [14s, 18s]; key 3: exactly on 20s.
-    assert got == [
-        (1, 10_000_000, 10.0),
-        (1, 20_000_000, 30.0),
-        (1, 30_000_000, 30.0),
-        (3, 20_000_000, 7.0),
-    ]
+        got = list(map(tuple, out[["u", "grid_ts", "v"]].to_numpy()))
+        # key 1: grid 10/20/30s (tie at 12s: eid 2 wins from t=20s on);
+        # key 2: no grid point in [14s, 18s]; key 3: exactly on 20s.
+        assert got == [
+            (key(1), 10_000_000, 10.0),
+            (key(1), 20_000_000, 30.0),
+            (key(1), 30_000_000, 30.0),
+            (key(3), 20_000_000, 7.0),
+        ]
 
 
 def test_ewma_scan_matches_bruteforce(ray_session):
@@ -3515,7 +3519,7 @@ def test_interval_coverage_matches_bruteforce(ray_session):
     """Gaps-and-islands union coverage: merged-island count and total
     covered length per key equal a per-key Python merge, including
     touching intervals (merged), containment (a long interval swallowing
-    later short ones), and two partitionings."""
+    later short ones), two partitionings and string keys."""
     import ray.data
 
     from climatemind_ontology_processing_ray.functions.windows import (
@@ -3546,10 +3550,10 @@ def test_interval_coverage_matches_bruteforce(ray_session):
                 islands.append([s, e])
         exp[int(u)] = (len(islands), sum(e - s for s, e in islands))
 
-    for parts in (2, 6):
+    for parts, key in ((2, int), (6, int), (3, lambda u: f"u{u}")):
         out = (
             interval_coverage(
-                ray.data.from_pandas(df).repartition(parts),
+                ray.data.from_pandas(df.assign(u=df["u"].map(key))).repartition(parts),
                 "u",
                 "s",
                 "e",
@@ -3558,10 +3562,8 @@ def test_interval_coverage_matches_bruteforce(ray_session):
             .to_pandas()
             .sort_values("u")
         )
-        got = {
-            int(r.u): (int(r.n_islands), int(r.covered)) for r in out.itertuples()
-        }
-        assert got == exp
+        got = {r.u: (int(r.n_islands), int(r.covered)) for r in out.itertuples()}
+        assert got == {key(u): v for u, v in exp.items()}
 
 
 def test_exact_auc_matches_pairwise_bruteforce(ray_session):
