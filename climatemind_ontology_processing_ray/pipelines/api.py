@@ -35,7 +35,7 @@ from ..ontology.schema import OntologySnapshot
 from ..stages.adjacency import adjacency_table
 from .kg import (
     KGConfig,
-    KGResult,
+    _digest_block,
     canonical_edges_to_artifacts,
     edge_table,
     extract_pages,
@@ -138,19 +138,18 @@ _OUTPUTS = (
 )
 
 
-def _publish_key(res: KGResult, emit_mentions: bool) -> str | None:
+def _publish_key(edges_key: str, edges: pa.Table, emit_mentions: bool) -> str:
     """What the published outputs depend on: the ``canonical_edges``
-    checkpoint (its run key, which folds in the corpus and ontology
-    fingerprints, and its file md5s), ``emit_mentions`` and the package
-    version.  ``None`` without a checkpoint."""
+    checkpoint's run key (which folds in the corpus, ontology and config
+    fingerprints that ``mentions`` also depends on), a digest of every cell
+    of the edge table (blind to row order and to the checkpoint's file
+    names, which carry a per-write uuid), ``emit_mentions`` and the
+    package version."""
     from .. import __version__
 
-    m = res.checkpoints.manifest("canonical_edges")
-    if m is None:
-        return None
     payload = {
-        "edges_key": m["key"],
-        "edges_md5": sorted((f["path"], f["md5"]) for f in m["files"]),
+        "edges_key": edges_key,
+        "edges_digest": _digest_block(edges).column("digest")[0].as_py(),
         "emit_mentions": emit_mentions,
         "version": __version__,
     }
@@ -189,16 +188,18 @@ def process_pages(
     ``<output_dir>/_PUBLISH.json`` goes first, each staged entry replaces
     its old one (an owned entry the new set lacks is removed), and the
     manifest moves in last.  ``_PUBLISH.json`` holds the publish key (the
-    ``canonical_edges`` checkpoint's run key and file md5s,
-    ``emit_mentions`` and the package version), the returned ``paths``
-    relative to ``output_dir``, and each file's size and md5.
+    ``canonical_edges`` checkpoint's run key, a digest of the edge
+    table's cells, ``emit_mentions`` and the package version), the
+    returned ``paths`` relative to ``output_dir``, and each file's size
+    and md5.
 
     On start, a publish a kill interrupted is repaired: a sealed staging
     directory is committed, any other is deleted.  With a checkpoint dir,
-    a run whose ``canonical_edges`` stage is a checkpoint hit and whose
-    ``_PUBLISH.json`` has the same key, with every listed file matching
-    its size and md5, writes nothing: it returns ``art`` and the
-    published paths.  Without a checkpoint dir every run publishes."""
+    a run whose ``_PUBLISH.json`` has the same key, with every listed file
+    matching its size and md5, writes nothing: it returns ``art`` and the
+    published paths.  That holds also when the checkpoints were cleared
+    and recomputed to the same edges.  Without a checkpoint dir every run
+    publishes."""
     from ..graph.tables import nodes_table
     from ..state import publish
 
@@ -206,13 +207,14 @@ def process_pages(
     os.makedirs(output_dir, exist_ok=True)
     publish.repair(output_dir)
     res = run_kg_pipeline(pages, snap, cfg)
-    key = _publish_key(res, emit_mentions)
-    if key is not None:
+    ckpt = res.checkpoints.manifest("canonical_edges")
+    if ckpt is not None:
         edges = edge_table(res.checkpoints.read_table("canonical_edges"))
+        key = _publish_key(ckpt["key"], edges, emit_mentions)
     else:
-        edges = edge_table(res.canonical_edges)
+        edges, key = edge_table(res.canonical_edges), None
     art = canonical_edges_to_artifacts(edges, snap)
-    if key is not None and "canonical_edges" in res.checkpoints.hits:
+    if key is not None:
         manifest = publish.verify(output_dir, key)
         if manifest is not None:
             return art, publish.resolve(output_dir, manifest)

@@ -1,10 +1,14 @@
 """End-to-end KG construction pipeline (SURVEY §3.4 lifecycle).
 
     read_parquet(pages)
+      -> lang filter                        vectorized pyarrow predicate
+                                            (``keep_pages``) on the raw
+                                            pages: other languages are
+                                            never extracted
       -> map_batches(extract_pages_batch)   stateless tasks, zero-copy Arrow,
                                             html column dropped immediately
-      -> lang filter                        vectorized pyarrow predicate
-                                            (``keep_pages``)
+                                            (then the ``min_text_chars``
+                                            filter, when set)
       -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
                                             automaton + index: extract,
                                             link and map-side combine
@@ -102,15 +106,20 @@ def lang_filter(
 
 
 def extract_pages(pages: Dataset, cfg: KGConfig) -> Dataset:
-    """pages -> extracted text -> lang/quality filter, lazy: the front of
-    the one front-end operator (and of ``api.extract_mentions``)."""
-    ds = pages.map_batches(
+    """pages -> lang filter -> extracted text -> quality filter, lazy: the
+    front of the one front-end operator (and of ``api.extract_mentions``).
+    The language mask reads only ``lang``, so it runs on the raw pages and
+    pages in other languages are never extracted; ``min_text_chars`` reads
+    the extracted text and runs after."""
+    ds = lang_filter(pages, cfg.keep_langs).map_batches(
         S.extract_pages_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=cfg.batch_size,
     )
-    return lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
+    if cfg.min_text_chars:
+        ds = lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
+    return ds
 
 
 _DIGEST_MOD = 1 << 128

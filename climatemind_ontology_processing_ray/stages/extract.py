@@ -13,6 +13,7 @@ any shuffle, SURVEY §7.4 "very wide rows").
 
 from __future__ import annotations
 
+import functools
 import re
 
 import pyarrow as pa
@@ -69,16 +70,27 @@ def extract_text(html: bytes | str) -> str:
     return "\n".join(lines)
 
 
-# --- vectorized fast path: the SAME transform chain as extract_text,     #
-# expressed as pyarrow.compute (RE2) kernels over the whole column.        #
-# Byte-identity with the frozen function is guaranteed by construction     #
-# for rows WITHOUT numeric character entities (RE2 has no computed         #
-# replacement, so `&#NNN;` rows take the frozen python path) and is        #
-# enforced by the frozen-function fuzz tests.  The script/style pattern    #
-# is split in two because RE2 lacks backreferences.                        #
+# --- vectorized fast path: the SAME transform chain as extract_text,
+# expressed as pyarrow.compute (RE2) kernels over the whole column.
+# Byte-identity with the frozen function is guaranteed by construction for
+# the rows the gate leaves on this path, and is enforced by the
+# frozen-function fuzz tests.  RE2 differs from the frozen bytes regexes in
+# three ways every pattern here must respect:
+#   - no backreferences: script and style are two branches of one
+#     alternation (one pass, as the frozen <(script|style)...</\1 is);
+#   - \s lacks \v: whitespace is spelled out as _WS;
+#   - (?i) folds Unicode case: U+017F matches "s" and U+212A "k", so rows
+#     holding either take the python path (_NUMERIC_GATE).
+# Each regex matches only text it changes: RE2 pays per match, so a pattern
+# that rewrites text to itself (a single space to a space) costs more than
+# the rest of the chain.
+_WS = r" \t\n\r\f\v"  # the bytes regexes' \s
 _VEC_STEPS = (
-    (r"(?is)<script\b[^>]*>.*?(</script\s*>|$)", ""),
-    (r"(?is)<style\b[^>]*>.*?(</style\s*>|$)", ""),
+    (
+        rf"(?is)<script\b[^>]*>.*?(</script[{_WS}]*>|$)"
+        rf"|<style\b[^>]*>.*?(</style[{_WS}]*>|$)",
+        "",
+    ),
     (r"(?s)<!--.*?(-->|$)", ""),
     (
         r"(?i)</?(?:p|div|h[1-6]|li|ul|ol|tr|table|br|nav|footer|header|article|section|title|blockquote)\b[^>]*>",
@@ -96,15 +108,28 @@ _VEC_ENTITIES = (
     ("&copy;", "©"),
     ("&amp;", "&"),
 )
-_VEC_CLEANUP = (
-    (r"[ \t\r\f\v]+", " "),
-    (r"(?m)^ | $", ""),
-    (r"\n{2,}", "\n"),
-    (r"^\n+|\n+$", ""),
+# what str.strip() removes at a line's edges: every str.isspace character
+# but the line separator \n
+_STRIP = (
+    "\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-# numeric entities other than &#39; need chr() (computed replacement) —
-# only those rows pay the python path
-_NUMERIC_GATE = re.compile(r"&#(?!39;)[0-9]")
+_STRIP_CLASS = "".join(f"\\x{{{ord(c):x}}}" for c in _STRIP)
+_VEC_CLEANUP = (
+    # runs the frozen _HSPACE_RE would rewrite: two or more, or one non-space
+    (r"[ \t\r\f\v]{2,}|[\t\r\f\v]", " "),
+    # a whitespace run holding a newline is one line break, once lines are
+    # stripped and empty ones dropped (a lone \n already is)
+    (rf"[{_STRIP_CLASS}]+\n[{_STRIP_CLASS}\n]*|\n[{_STRIP_CLASS}\n]+", "\n"),
+)
+# numeric entities other than &#39; need chr() (computed replacement), and
+# RE2's (?i) folds U+017F and U+212A onto ASCII letters — only rows holding
+# one of these pay the python path
+_NUMERIC_GATE = re.compile("&#(?!39;)[0-9]|[\u017f\u212a]")
+# the same gate as RE2 patterns, coarser (no lookahead to spare &#39;):
+# one pattern each, so RE2 skips to each one's first byte with memchr (an
+# alternation of them reads every byte, ~8x slower)
+_COARSE_GATES = ("&#[0-9]", "\u017f", "\u212a")
 
 
 def _extract_vectorized(strings: pa.Array) -> pa.Array:
@@ -117,7 +142,7 @@ def _extract_vectorized(strings: pa.Array) -> pa.Array:
         x = pc.replace_substring(x, pattern=ent, replacement=rep)
     for pat, rep in _VEC_CLEANUP:
         x = pc.replace_substring_regex(x, pattern=pat, replacement=rep)
-    return x
+    return pc.utf8_trim(x, characters=_STRIP + "\n")
 
 
 def extract_pages_batch(batch: pa.Table) -> pa.Table:
@@ -126,9 +151,9 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
 
     Runs the Arrow-kernel fast path for the whole column; rows the fast
     path cannot reproduce byte-identically (numeric character entities,
-    invalid UTF-8 payloads) are recomputed with the frozen python
-    function.  The ``html`` (and WET ``text``) columns are dropped here so
-    no downstream block carries the wide payload.
+    U+017F or U+212A, invalid UTF-8 payloads) are recomputed with the
+    frozen python function.  The ``html`` (and WET ``text``) columns are
+    dropped here so no downstream block carries the wide payload.
     """
     import pyarrow.compute as pc
 
@@ -141,14 +166,14 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
         if isinstance(strings, pa.ChunkedArray):
             strings = strings.combine_chunks()
         text_col = pc.fill_null(_extract_vectorized(strings), "")
-        # gate the python recompute path with an Arrow kernel: only rows
-        # that CONTAIN "&#<digit>" are pulled into python (RE2 lacks the
-        # lookahead to exclude &#39; — the per-row regex refines the
-        # coarse match), so the common case never materializes the html
-        # column as python strings.
-        coarse = pc.fill_null(
-            pc.match_substring_regex(strings, pattern=r"&#[0-9]"), False
+        # gate the python recompute path with Arrow kernels: only the rows
+        # the coarse gates match are pulled into python, where
+        # _NUMERIC_GATE refines them, so the common case never
+        # materializes the html column as python strings.
+        coarse = functools.reduce(
+            pc.or_, (pc.match_substring_regex(strings, pattern=p) for p in _COARSE_GATES)
         )
+        coarse = pc.fill_null(coarse, False)
         if pc.any(coarse).as_py():
             import numpy as np
 

@@ -8,7 +8,7 @@ extractor, the linker and ``partial_triple_agg_arrow`` inside one
 ``__call__``, and ``per_worker`` builds it once per worker process, so the
 executor fuses it with its upstream tasks and the pipeline plan is
 
-    read -> [extract -> lang filter -> THIS] (one fused operator)
+    read -> [lang filter -> extract -> THIS] (one fused operator)
          -> fan-in combine -> one final merge task
 
 A custom front end is a composition, not a config knob (SURVEY §2.9): a

@@ -2,9 +2,14 @@
 
 The reference resolves labels with a linear ``onto.search_one(label=...)``
 scan per node (``make_graph_class.py:114``).  Here the ontology's surface
-forms are compiled ONCE into a single longest-first regex alternation
-(C-speed scan, equivalent to an Aho-Corasick automaton for this
-vocabulary size) in ``__init__``; ``__call__`` then scans each batch.
+forms are compiled ONCE, in ``__init__``, into one regex shaped as their
+prefix trie: nested groups, one branch per distinct next character, the
+longer continuation tried before the end of a form.  Forms that share a
+prefix share its comparison, so ``re`` tests one branch per character at
+each text position instead of retrying every form (shared-prefix
+evaluation, as in an Aho-Corasick automaton); the first match found at a
+position is the longest form there that the word-boundary guards accept.
+``__call__`` then scans each batch.
 
 Use as::
 
@@ -40,13 +45,42 @@ def sentence_id(low: str, pos: int) -> int:
     )
 
 
+_END = ""  # trie key marking the end of a surface form
+
+
+def _trie_regex(node: dict) -> str:
+    """Regex for the forms below a trie node.  Single-child chains are one
+    literal; each branch tries its continuations before its own end (the
+    greedy ``?``), so backtracking meets longer forms first."""
+    branches = []
+    for ch in sorted(k for k in node if k != _END):
+        run, child = ch, node[ch]
+        while len(child) == 1 and _END not in child:
+            ((nxt, child),) = child.items()
+            run += nxt
+        branches.append(re.escape(run) + _trie_regex(child))
+    if not branches:
+        return ""
+    body = branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+    if _END in node:
+        return body + "?" if len(branches) > 1 else f"(?:{body})?"
+    return body
+
+
 def build_surface_pattern(surface_forms: Iterable[str]) -> re.Pattern:
-    """Longest-first, word-boundary alternation over lowercased variants."""
-    variants = sorted({v.lower() for v in surface_forms if v}, key=len, reverse=True)
-    if not variants:
+    """Word-boundary pattern over the lowercased variants, compiled as
+    their prefix trie.  At each position it matches the longest variant
+    the guards accept, as a longest-first alternation of the same
+    variants would."""
+    trie: dict = {}
+    for v in {v.lower() for v in surface_forms if v}:
+        node = trie
+        for ch in v:
+            node = node.setdefault(ch, {})
+        node[_END] = {}
+    if not trie:
         return re.compile(r"(?!x)x")  # matches nothing
-    alts = "|".join(re.escape(v) for v in variants)
-    return re.compile(rf"(?<![a-z0-9])(?:{alts})(?![a-z0-9])")
+    return re.compile(rf"(?<![a-z0-9]){_trie_regex(trie)}(?![a-z0-9])")
 
 
 def snapshot_surface_pattern(snap: OntologySnapshot) -> re.Pattern:

@@ -17,7 +17,10 @@ problem->solution edge direction (``make_graph_class.py:459-461``).
 
 from __future__ import annotations
 
+import re
+
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..ontology.schema import OntologySnapshot
 from ..ontology.vocab import CAUSES, EXPOSURE, INHIBITS, IS_A, MYTH_ABOUT, POPULATION
@@ -41,6 +44,15 @@ CONNECTIVES: dict[str, tuple[str, bool]] = {
 
 _GAP_STRIP = " \t,;:"
 
+# RE2 prefilter: the pages whose text may hold a connective once lowered.
+# RE2's case folding maps onto each ASCII letter every character whose
+# str.lower() yields that letter (U+212A, the Kelvin sign, included),
+# except U+0130, whose lower() is "i" + U+0307: it is added to each "i" by
+# hand.  So the filter keeps a superset of the pages the scan below uses.
+_CONNECTIVE_RE = "(?i)" + "|".join(
+    re.escape(c).replace("i", "[i\u0130]") for c in CONNECTIVES
+)
+
 
 class TripleExtractor:
     """pages(extracted_text) -> pre-link triple rows.
@@ -55,6 +67,9 @@ class TripleExtractor:
     _MAX_GAP = max(len(c) for c in CONNECTIVES) + 8
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = batch.select(["url", "extracted_text"]).filter(
+            pc.match_substring_regex(batch.column("extracted_text"), pattern=_CONNECTIVE_RE)
+        )
         urls = batch.column("url").to_pylist()
         texts = batch.column("extracted_text").to_pylist()
         o_url, o_subj, o_obj, o_pred = [], [], [], []

@@ -110,7 +110,12 @@ def test_null_columns_handled(ray_session):
 def test_vectorized_path_byte_identical_fuzz():
     """The Arrow-kernel fast path must be byte-identical to the frozen
     python function for arbitrary inputs — including numeric entities
-    (gated to the python path) and invalid utf-8 (batch fallback)."""
+    (gated to the python path) and invalid utf-8 (batch fallback).  The
+    later fragments are the places RE2 and the frozen regexes part:
+    Unicode whitespace that str.strip() removes at a line's edges, style
+    and script nested in each other, \\v before a closing tag's ">"
+    (outside RE2's \\s), and U+017F / U+212A, which RE2's (?i) folds onto
+    "s" and "k"."""
     import random
 
     import pyarrow as pa
@@ -128,24 +133,54 @@ def test_vectorized_path_byte_identical_fuzz():
         "&#100;igits", "multi  \t spaces", "\n\nnewlines\n", "<P>UPPER</P>",
         "<unknown>tag</unknown>", "& lone amp", "&#0;", "&#1114112;", "ünïcødé",
         "<table><tr><td>c</td></tr></table>", "a<b>c", "]]>", "<![CDATA[x]]>",
+        "<p>foo\xa0</p>", "\u3000", "\u2000x\u2028", "\x1c\x1d\x1e\x1f", " \x85 ",
+        "\xa0\n\xa0", "\t\r\f\v", " ", "\n",
+        "<style><script></style>x</script>y", "<script>", "<style>", "</style >",
+        "</script\x0b>", "</style\x0b>",
+        "<\u017fcript>s</\u017fcript>", "<\u017ftyle>", "<blocK\u212aquote>",
+        "<bloc\u212aquote>", "\u212a",
     ]
     htmls = []
-    for _ in range(300):
+    for _ in range(1000):
         n = rng.randint(0, 12)
         htmls.append("".join(rng.choice(frags) for _ in range(n)).encode())
-    htmls.append(b"\xff\xfe invalid utf8 <p>x</p>")  # forces batch fallback
-    htmls.append(b"")
-    batch = pa.table(
-        {
-            "url": pa.array([f"u{i}" for i in range(len(htmls))]),
-            "html": pa.array(htmls, pa.binary()),
-            "lang": pa.array(["en"] * len(htmls)),
-        }
-    )
-    out = extract_pages_batch(batch)
-    got = out.column("extracted_text").to_pylist()
-    expected = [extract_text(h) for h in htmls]
-    assert got == expected
+    htmls += [
+        b"",
+        "<p>foo\xa0</p>".encode(),
+        b"<style><script></style>x</script>y",
+        b"<script>a</script\x0b>b",
+        "<\u017fcript>x</\u017fcript>y".encode(),
+        "<bloc\u212aquote>z".encode(),
+    ]
+    # one invalid utf-8 row sends its whole batch to the frozen function,
+    # so it gets a batch of its own and the rest run the fast path
+    for rows in (htmls, [b"\xff\xfe invalid utf8 <p>x</p>", *htmls[:50]]):
+        batch = pa.table(
+            {
+                "url": pa.array([f"u{i}" for i in range(len(rows))]),
+                "html": pa.array(rows, pa.binary()),
+                "lang": pa.array(["en"] * len(rows)),
+            }
+        )
+        got = extract_pages_batch(batch).column("extracted_text").to_pylist()
+        assert got == [extract_text(h) for h in rows]
+
+
+def test_fast_path_character_tables():
+    """The fast path's two character tables hold for this interpreter and
+    RE2: its line-edge strip set is what str.strip() removes (but the line
+    separator), and every non-ASCII character RE2's (?i) folds onto an
+    ASCII letter is gated to the python path."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from climatemind_ontology_processing_ray.stages.extract import _NUMERIC_GATE, _STRIP
+
+    chars = [chr(i) for i in range(0x80, 0x110000) if not 0xD800 <= i < 0xE000]
+    assert set(_STRIP) == {c for c in map(chr, range(0x110000)) if c.isspace()} - {"\n"}
+    folds = pc.match_substring_regex(pa.array(chars), pattern="(?i)[a-z]")
+    folded = [c for c, hit in zip(chars, folds.to_pylist()) if hit]
+    assert folded and all(_NUMERIC_GATE.search(c) for c in folded)
 
 
 def test_jsonl_pages_source_matches_parquet_path(ray_session, tmp_path):
@@ -307,3 +342,85 @@ def test_front_end_kernels_emit_only_what_canonicalization_reads(snapshot):
     assert triples.num_rows and linked.num_rows
     assert triples.column_names == ["url", "subj_surface", "obj_surface", "predicate"]
     assert linked.column_names == triples.column_names + ["subj_label", "obj_label"]
+
+
+def _alternation_pattern(forms):
+    """The longest-first alternation the trie pattern replaced: the
+    oracle for ``build_surface_pattern``."""
+    import re
+
+    variants = sorted({v.lower() for v in forms if v}, key=len, reverse=True)
+    alts = "|".join(re.escape(v) for v in variants)
+    return re.compile(rf"(?<![a-z0-9])(?:{alts})(?![a-z0-9])")
+
+
+def test_trie_surface_pattern_matches_the_alternation(snapshot):
+    """On text built from surface forms, their prefixes and extensions,
+    forms sharing a prefix, regex metacharacters and word-boundary
+    neighbours (letters, digits, punctuation, start and end of text), the
+    trie pattern finds exactly the spans of the longest-first
+    alternation."""
+    import random
+
+    from climatemind_ontology_processing_ray.stages.mentions import (
+        build_surface_pattern,
+        snapshot_surface_pattern,
+    )
+
+    fixture = set()
+    for node in snapshot.individuals.values():
+        fixture.update(node.get("surface_forms") or [node["label"]])
+    synthetic = {
+        "sea", "sea level", "Sea Level Rise", "sea-level", "sea wall", "a", "ab",
+        "abc", "abd", "co2", "c++", "a.b", "(x)", "café", "x1", "",
+    }
+    rng = random.Random(5)
+    for forms in (fixture, synthetic):
+        trie, oracle = build_surface_pattern(forms), _alternation_pattern(forms)
+        if forms is fixture:
+            assert snapshot_surface_pattern(snapshot).pattern == trie.pattern
+        low = sorted({f.lower() for f in forms if f})
+        pieces = low + [f[:k] for f in low for k in range(1, len(f))]
+        pieces += [f + tail for f in low for tail in ("s", "1", "-x", " of", "é")]
+        neighbours = ["", "", " ", "x", "9", ".", "-", "_", "\n", "É"]
+        for _ in range(3000):
+            text = "".join(
+                rng.choice(pieces) + rng.choice(neighbours) for _ in range(rng.randint(0, 8))
+            )
+            assert [m.span() for m in trie.finditer(text)] == [
+                m.span() for m in oracle.finditer(text)
+            ], text
+    assert build_surface_pattern(["", None]).search("anything") is None
+
+
+def test_connective_prefilter_keeps_every_triple(snapshot, monkeypatch):
+    """The Arrow prefilter in ``TripleExtractor`` only drops pages that
+    yield no triple: on pages pairing surface forms through connectives in
+    upper case and through non-ASCII case variants (U+0130, the Kelvin
+    sign, U+017F), the output equals a run that scans every page."""
+    import random
+
+    import pyarrow as pa
+
+    from climatemind_ontology_processing_ray.stages import triples as T
+
+    forms = sorted({n["label"] for n in snapshot.individuals.values()})[:12]
+    variants = []
+    for c in T.CONNECTIVES:
+        variants += [c, c.upper(), c.title(), c.replace("i", "İ"),
+                     c.replace("k", "K"), c.replace("s", "ſ")]
+    rng = random.Random(11)
+    texts = []
+    for _ in range(400):
+        parts = [rng.choice(forms)]
+        for _ in range(rng.randint(0, 4)):
+            gap = rng.choice(variants + ["and", "near", ". "])
+            parts += [rng.choice(["", " ", ", "]) + gap + rng.choice([" ", ": "]), rng.choice(forms)]
+        texts.append("".join(parts))
+    texts += ["", None]
+    pages = pa.table({"url": [f"u{i}" for i in range(len(texts))], "extracted_text": texts})
+
+    extractor = T.TripleExtractor(snapshot.to_json())
+    filtered = extractor(pages)
+    monkeypatch.setattr(T, "_CONNECTIVE_RE", "")  # keeps every non-null page
+    assert filtered.num_rows and filtered.equals(extractor(pages))

@@ -346,6 +346,33 @@ def test_warm_publish_is_skipped(published, snapshot, table, monkeypatch):
     assert nx.utils.graphs_equal(art.G, published["old"]["art"].G)
 
 
+def test_cleared_checkpoint_does_not_republish(
+    ray_session, snapshot, table, tmp_path, monkeypatch
+):
+    """The publish key is a function of the edge table, not of the
+    checkpoint's file names (which carry a per-write uuid): after the
+    checkpoint dir is cleared, a rerun recomputes the checkpoints and
+    leaves every published file, ``_PUBLISH.json`` included, with its
+    inode and mtime."""
+    import shutil
+
+    from climatemind_ontology_processing_ray.pipelines import api
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    _publish(table, snapshot, out, ckpt)
+    before, key = _identity(out), _published_key(out)
+    shutil.rmtree(ckpt)
+
+    def no_write(*a, **k):
+        raise AssertionError("a skipped publish wrote a table")
+
+    monkeypatch.setattr(api, "_write_table", no_write)
+    _publish(table, snapshot, out, ckpt)
+    assert os.listdir(ckpt), "the rerun did not recompute the checkpoints"
+    assert _identity(out) == before
+    assert _published_key(out) == key
+
+
 @pytest.mark.parametrize("damage", ["delete", "alter", "extra_file"])
 def test_damaged_output_forces_republish(
     published, snapshot, table, tmp_path, damage
