@@ -4,8 +4,8 @@ The driver calls ``ray.init`` itself before importing this module:
 nothing here (or in the library code) calls ``ray.init``/``ray.shutdown``.
 
 - ``entry()`` — flagship KG-construction pipeline on sf0.001: synthesized
-  Common-Crawl-style pages -> extract -> one fused triple/link operator
-  -> fan-in combine -> one final merge task -> canonical edge table.
+  Common-Crawl-style pages -> extract -> one fused triple/link/combine
+  operator -> driver fold of its partials -> canonical edge table.
 - ``queries()`` — one entry per implemented operator/pipeline (SURVEY §2
   + the training-data operator set); each takes ``sf_dir``.
 - ``oracle_sql()`` — DuckDB equivalents for every SQL-expressible entry.

@@ -14,11 +14,11 @@ cited by file:line throughout) as an idiomatic Ray Data pipeline:
                                            index built once per worker: causal
                                            triples, entity links, map-side
                                            combine]
-      -> fan-in combine in tasks + ONE final merge task on
+      -> a fold of the partial blocks on the driver, on
          (subject,object,predicate): dedup + support/source aggregation,
-         no exchange (the key space is ontology-sized, labels² x
-         predicates; the task gets <= ceil(partial rows / fan-in rows)
-         rows per key)
+         no exchange and no operator after the front end (the key space
+         is ontology-sized, labels² x predicates; the fold holds one row
+         per key)
       -> one driver-side canonical edge table: adjacency lists, node
          table and graph enrichment, mirroring the reference's
          make_graph/process_* semantics, all written with pyarrow.

@@ -25,7 +25,6 @@ import networkx as nx
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts
@@ -33,11 +32,11 @@ from ..graph.writers import write_all_artifacts
 from ..ontology.fixture import build_fixture_snapshot
 from ..ontology.schema import OntologySnapshot
 from ..stages.adjacency import adjacency_table
+from ..stages.canonicalize import as_dataset
 from .kg import (
     KGConfig,
     _digest_block,
     canonical_edges_to_artifacts,
-    edge_table,
     extract_pages,
     run_kg_pipeline,
 )
@@ -71,20 +70,19 @@ def output_edges(
     ``source``, only edges of the component reachable from that node."""
     snap = _load_snapshot(snapshot)
     res = run_kg_pipeline(pages, snap, cfg)
-    edges = res.canonical_edges
     if source is None:
-        return edges
+        return res.canonical_edges
 
-    # driver-side reachability on the ontology-sized edge table, collected
-    # once, then the same table filtered on the driver (the reference's
-    # `-source` DFS-root restriction, make_network.py:72-76)
-    table = edge_table(edges)
+    # driver-side reachability on the ontology-sized edge table the fold
+    # collected, then the same table filtered on the driver (the
+    # reference's `-source` DFS-root restriction, make_network.py:72-76)
+    table = res.edges
     g = nx.DiGraph(
         zip(table.column("subject").to_pylist(), table.column("object").to_pylist())
     )
     reach = {source} | (nx.descendants(g, source) if source in g else set())
     keep = pc.is_in(table.column("subject"), value_set=pa.array(sorted(reach), pa.string()))
-    return ray.data.from_arrow(table.filter(keep))
+    return as_dataset(table.filter(keep))
 
 
 def extract_mentions(
@@ -113,15 +111,13 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
 
     Because canonicalization is a sum/union aggregation, processing a corpus
     in k batches and merging equals processing it at once (tested).  The
-    merge is the canonicalization reduction itself
+    merge is the canonicalization fold itself
     (stages/canonicalize.py: canonicalize_partials): canonical rows are
     partials with one row per key.
     """
-    from ..stages.canonicalize import TRIPLE_KEY, canonicalize_partials
+    from ..stages.canonicalize import canonicalize_partials
 
-    cols = TRIPLE_KEY + ["support", "sources"]
-    unioned = existing.select_columns(cols).union(new.select_columns(cols))
-    return canonicalize_partials(unioned, sources_cap)
+    return canonicalize_partials(existing.union(new), sources_cap)
 
 
 # every name a publish owns under output_dir: a commit replaces each one,
@@ -174,9 +170,10 @@ def process_pages(
     output files under ``output_dir``.  ``emit_mentions`` additionally
     materializes the mentions table (SURVEY §1.3) as Parquet.
 
-    The back end works on one driver-side Arrow table of canonical edges
-    (the graph is ontology-sized), read from the ``canonical_edges``
-    checkpoint or else collected once.  ``art``, the adjacency lists and
+    The back end works on the one driver-side Arrow table of canonical
+    edges that ``run_kg_pipeline`` returns (the graph is ontology-sized):
+    the driver fold's output, read back from the ``canonical_edges``
+    checkpoint when there is one.  ``art``, the adjacency lists and
     the node table are built from it and written with pyarrow; only
     ``mentions/`` runs a Ray job of its own.
 
@@ -207,12 +204,9 @@ def process_pages(
     os.makedirs(output_dir, exist_ok=True)
     publish.repair(output_dir)
     res = run_kg_pipeline(pages, snap, cfg)
+    edges = res.edges
     ckpt = res.checkpoints.manifest("canonical_edges")
-    if ckpt is not None:
-        edges = edge_table(res.checkpoints.read_table("canonical_edges"))
-        key = _publish_key(ckpt["key"], edges, emit_mentions)
-    else:
-        edges, key = edge_table(res.canonical_edges), None
+    key = None if ckpt is None else _publish_key(ckpt["key"], edges, emit_mentions)
     art = canonical_edges_to_artifacts(edges, snap)
     if key is not None:
         manifest = publish.verify(output_dir, key)

@@ -12,30 +12,38 @@
       -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
                                             automaton + index: extract,
                                             link and map-side combine
-      => checkpoint ``partials``
-      -> canonicalize_partials              fan-in combine in tasks, then
-                                            ONE final merge task (no
-                                            exchange: the key space is
-                                            ontology-sized, and the task
-                                            gets <= ceil(partial rows /
-                                            fan-in rows) rows per key)
-      => checkpoint ``canonical_edges``
+      => checkpoint ``partials``            (Ray ``write_parquet``)
+      -> driver fold (``fold_partials``)    the partial blocks stream to the
+                                            driver (``iter_batches``), or
+                                            the ``partials`` checkpoint is
+                                            read with pyarrow, and are
+                                            merged into one row per key (no
+                                            exchange and no operator after
+                                            the front end: the key space is
+                                            ontology-sized)
+      => checkpoint ``canonical_edges``     (``pq.write_table``)
       -> driver-side back end               ontology-sized (SURVEY §7.0 (c)):
                                             enrichment, adjacency, outputs
                                             (``pipelines/api.py``)
 
-The first three steps fuse into one operator, with or without
-checkpointing.  The two stage boundaries (``partials``,
-``canonical_edges``) are Dataset -> Dataset steps (the reference's
-step-method surface, SURVEY §2.9), optionally checkpointed via
-CheckpointManager.  Extracted text is not checkpointed: no resume reads
-it, and a rerun recomputes it from the pages.
+The first three steps fuse into one operator, and the pipeline is at most
+one Ray Data execution: that operator, consumed by the fold or written as
+``partials`` (an in-memory corpus with a checkpoint dir adds one digest
+pass, ``corpus_digest``).  ``run_kg_pipeline`` runs it at call time and
+returns the canonical edges as a driver-side table (``KGResult.edges``)
+and as a one-block Dataset (``KGResult.canonical_edges``, the
+reference's step-method surface, SURVEY §2.9).  The two stage boundaries
+are optionally checkpointed via CheckpointManager.  Extracted text is not
+checkpointed: no resume reads it, and a rerun recomputes it from the
+pages.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -44,7 +52,7 @@ from ray.data import Dataset
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
 from ..ontology.schema import OntologySnapshot
-from ..stages.canonicalize import TRIPLE_KEY, _empty_canonical, canonicalize_partials
+from ..stages.canonicalize import TRIPLE_KEY, _empty_canonical, as_dataset, fold_partials
 from ..stages.fused import make_fused_partials_fn
 from ..state.checkpoint import CheckpointManager
 from .. import stages as S
@@ -66,16 +74,37 @@ class KGConfig:
 
 @dataclass
 class KGResult:
-    canonical_edges: Dataset
+    # the canonical edge table, collected on the driver by the fold (or
+    # read from the ``canonical_edges`` checkpoint)
+    edges: pa.Table
     checkpoints: CheckpointManager
     snapshot: OntologySnapshot
     config: KGConfig = field(default_factory=KGConfig)
+    # the executed front-end Dataset; None when ``partials`` was a hit
+    front_end: Dataset | None = None
+    # (rows in, rows out, seconds) of the driver fold; None when
+    # ``canonical_edges`` was a hit
+    fold: tuple[int, int, float] | None = None
+
+    @functools.cached_property
+    def canonical_edges(self) -> Dataset:
+        """``edges`` as a one-block, materialized Dataset."""
+        return as_dataset(self.edges)
 
     def stats(self) -> str:
-        """Per-operator wall/cpu/memory breakdown of the executed pipeline
+        """Per-operator wall/cpu/memory breakdown of the executed front end
         (Ray Data ``Dataset.stats()``) — the observability hook used to tune
-        block and batch sizes."""
-        return self.canonical_edges.stats()
+        block and batch sizes — and one line for the driver fold."""
+        if self.front_end is None:
+            front = "Front end: not run (partials checkpoint hit)"
+        else:
+            front = self.front_end.stats()
+        if self.fold is None:
+            fold = "Driver fold: not run (canonical_edges checkpoint hit)"
+        else:
+            rows_in, rows_out, seconds = self.fold
+            fold = f"Driver fold: {rows_in} partial rows in, {rows_out} edges out in {seconds:.3f}s"
+        return f"{front}\n{fold}"
 
 
 def keep_pages(
@@ -157,8 +186,10 @@ def corpus_digest(pages: Dataset) -> str:
 def run_kg_pipeline(
     pages: Dataset, snap: OntologySnapshot, cfg: KGConfig | None = None
 ) -> KGResult:
-    """Run the distributed front end; the returned canonical edge Dataset is
-    lazy unless checkpointing forced stage materialization."""
+    """Run the pipeline at call time: the front end is one Ray Data
+    execution (none when the checkpoints hit), and the driver fold turns
+    its partials into the canonical edge table, returned as
+    ``KGResult.edges``."""
     cfg = cfg or KGConfig()
     # the snapshot is ~100 KB JSON: shipped inline in the task fn's closure
     # (self-contained; for genuinely large snapshots switch to ray.put)
@@ -174,8 +205,8 @@ def run_kg_pipeline(
     # from_pandas, mapped sources) it is a digest of the full content, one
     # pass over the rows (``corpus_digest``).  ``batch_size`` and
     # ``num_salts`` do not change the canonical edges and stay out.  Only
-    # computed when checkpointing is on — the no-checkpoint path stays
-    # fully lazy.
+    # computed when checkpointing is on — without it the pages are read
+    # once, by the front end.
     if cfg.checkpoint_dir:
         try:
             files = sorted(pages.input_files())
@@ -207,24 +238,60 @@ def run_kg_pipeline(
 
     # stateless tasks with per-worker cached state: fuses with the
     # read/extract/filter chain into ONE operator (see fused.py)
-    partials = ckpt.stage(
-        "partials",
-        lambda: extract_pages(pages, cfg).map_batches(
-            make_fused_partials_fn(
-                snapshot_json=snapshot_json,
-                threshold=cfg.link_threshold,
-                num_salts=cfg.num_salts,
-                sources_cap=cfg.sources_cap,
-            ),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
+    front_end = extract_pages(pages, cfg).map_batches(
+        make_fused_partials_fn(
+            snapshot_json=snapshot_json,
+            threshold=cfg.link_threshold,
+            num_salts=cfg.num_salts,
+            sources_cap=cfg.sources_cap,
         ),
+        batch_format="pyarrow",
+        batch_size=cfg.batch_size,
     )
-    canonical = ckpt.stage(
-        "canonical_edges",
-        lambda: canonicalize_partials(partials, cfg.sources_cap),
+    fold = None
+
+    def fold_front_end(blocks) -> pa.Table:
+        """``fold_partials`` over ``blocks``, recording its rows in and out
+        and its own seconds (time spent waiting on a block excluded)."""
+        nonlocal fold
+        rows_in, waited = 0, 0.0
+
+        def counted():
+            nonlocal rows_in, waited
+            it = iter(blocks)
+            while True:
+                t0 = time.perf_counter()
+                block = next(it, None)
+                waited += time.perf_counter() - t0
+                if block is None:
+                    return
+                rows_in += block.num_rows
+                yield block
+
+        t0 = time.perf_counter()
+        table = fold_partials(counted(), cfg.sources_cap)
+        fold = (rows_in, table.num_rows, time.perf_counter() - t0 - waited)
+        return table
+
+    if cfg.checkpoint_dir:
+        # partials are only ever read back with pyarrow: no Dataset over them
+        if ckpt.ensure("partials", lambda tmp: front_end.write_parquet(tmp)):
+            front_end = None
+        blocks = lambda: [ckpt.read_table("partials")]
+    else:
+        ckpt.misses.append("partials")
+        blocks = lambda: front_end.iter_batches(batch_format="pyarrow", batch_size=None)
+    edges = edge_table(
+        ckpt.stage_table("canonical_edges", lambda: fold_front_end(blocks()))
     )
-    return KGResult(canonical_edges=canonical, checkpoints=ckpt, snapshot=snap, config=cfg)
+    return KGResult(
+        edges=edges,
+        checkpoints=ckpt,
+        snapshot=snap,
+        config=cfg,
+        front_end=front_end,
+        fold=fold,
+    )
 
 
 def edge_table(edges: Dataset | pa.Table) -> pa.Table:

@@ -655,7 +655,7 @@ ORDER BY ROUND(SUM(value),2) DESC, user_id ASC LIMIT 10
 
 def q_mention_counts(sf_dir: str):
     """The mention canonicalization itself (per-block counts on
-    surface_norm, summed in tasks and then in one final task),
+    surface_norm in tasks, summed by a fold on the driver),
     SQL-mirrored by exact word counting."""
     from ..stages.canonicalize import canonicalize_mentions
     from ..stages.mentions import MentionDetector

@@ -8,8 +8,9 @@ It sets three things, all ray 2.49 executor internals.
 
 1. ``op_resource_reservation_enabled = False``.  Ray Data's per-operator
    reservation starves the heavy map on this engine's pipeline shape
-   (read -> heavy fused map -> fan-in map -> ``repartition(1)`` -> one
-   merge task) at low CPU counts.  On the 400k-page KG corpus 8 CPUs ran
+   (read -> heavy fused map, whose partial blocks stream to a fold on the
+   driver; until the fold, a fan-in map -> ``repartition(1)`` -> one merge
+   task followed it) at low CPU counts.  On the 400k-page KG corpus 8 CPUs ran
    the fused map effectively serial (35.7 s wall for 33.7 CPU-seconds;
    whole pipeline 40.3 s); without it, 8.6 s at 8 CPUs, 13.0 s at 4 and
    4.9 s at 16, with no measured regression at 32 CPUs.  A sleep-UDF

@@ -4,41 +4,44 @@ The key space is bounded by the ontology: canonical edges are keyed on
 (subject, object, predicate) over linked node labels, so there are at most
 labels² × predicates of them (SURVEY §7.0 (c)), and mention counts are
 keyed on the ontology's surface forms.  Both reductions therefore share
-one shape, :func:`_reduce_once`, with no exchange, no ``Sort`` and no
-salt:
+one shape, with no exchange, no ``Sort``, no salt and no operator after
+the map:
 
 1. **map-side combine** (:func:`partial_triple_agg_arrow`, fused into the
-   front end) — one partial row per key per upstream batch.  A head key
-   ("climate change" appears on >=20% of pages) shrinks from one row per
-   occurrence to one row per batch.
-2. **fan-in combine** — ``map_batches(merge, batch_size=fanin_rows)``
-   merges the partials again in tasks.
-3. **final merge** — ``repartition(1)`` and one ``map_batches(merge,
-   batch_size=None)``: a single task merges every fan-in output.  Its
-   input is at most ``ceil(partial rows / fanin_rows)`` rows per key when
-   upstream blocks pack evenly into batches (each combine task adds at
-   most one short batch otherwise), so at most that many times the
-   number of distinct keys
+   front end's tasks) — one partial row per key per upstream batch.  A
+   head key ("climate change" appears on >=20% of pages) shrinks from one
+   row per occurrence to one row per batch.  All per-page work stays in
+   these parallel tasks.
+2. **driver fold** (:func:`_fold`) — the partial blocks stream to the
+   driver (``iter_batches``, or a pyarrow read of the ``partials``
+   checkpoint) and are merged into one accumulator of one row per key.
+   Blocks are buffered until they hold as many rows as the accumulator,
+   so the work is linear in partial rows and no merge input exceeds
+   2 × the distinct keys + one block
    (``tests/test_canonicalize.py::test_hot_key_reducer_rows_bounded``).
 
-Every merge is associative (support and counts are sums; sources keep the
-``sources_cap`` smallest distinct urls, a top-k monoid), so the output rows
-do not depend on batch boundaries or fan-in size; :func:`_merge_arrow`
-emits its rows sorted by key (the mentions final sorts by
-``surface_norm``), so neither does their order.  The
-triple partials still carry a ``salt`` column (a hash of the first source
-url); nothing here reads it.
+:func:`fold_partials` is the pure ``Iterable[pa.Table] -> pa.Table``
+kernel; ``canonicalize_partials`` / ``canonicalize_triples`` /
+``canonicalize_mentions`` are thin wiring around it that return the result
+as a one-block, materialized Dataset (:func:`as_dataset`).  Every merge is associative
+(support and counts are sums; sources keep the ``sources_cap`` smallest
+distinct urls, a top-k monoid), so the output rows do not depend on block
+boundaries or arrival order; :func:`_merge_arrow` emits its rows sorted by
+key (the mentions fold is sorted by ``surface_norm``), so neither does
+their order.  The triple partials still carry a ``salt`` column (a hash of
+the first source url); nothing here reads it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray.data
 from ray.data import Dataset
 
 TRIPLE_KEY = ["subject", "object", "predicate"]
@@ -168,7 +171,7 @@ def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
     return pa.table(out)
 
 
-# only perfbench's traced shuffle_layer calls this; it goes with salt (ROADMAP item 2)
+# only perfbench's traced shuffle_layer calls this; it goes with salt (ROADMAP item 1)
 def _part_tag_arrow(batch: pa.Table, cols: list[str], num_parts: int) -> pa.Table:
     """Append the partition-id column without leaving Arrow: per-column
     fixed-key hash (pd.util.hash_array — Cython, PYTHONHASHSEED-free, the
@@ -239,49 +242,66 @@ def partial_triple_agg_arrow(
     )
 
 
-# fan-in batch size: Ray bundles upstream partial blocks until a combine
-# task holds this many rows, so the final merge task receives FEW combined
-# blocks instead of one tiny block per upstream task, and a hot key at most
-# one row per batch.  Sized so several combine tasks stream DURING the
-# extract stage instead of one combine acting as a pseudo-barrier after it
-# (measured at 16 cpus: 65k rows = 1 task waiting on ~all upstream blocks
-# added ~1-2s of serial tail; 16k rows = ~4 overlapped tasks).
+# only perfbench's traced shuffle_layer reads this; it goes with salt (ROADMAP item 1)
 _FANIN_ROWS = 16_384
 
 
-def _reduce_once(
-    ds: Dataset,
-    merge: Callable[[pa.Table], pa.Table],
-    fanin_rows: int = _FANIN_ROWS,
-    final: Callable[[pa.Table], pa.Table] | None = None,
-) -> Dataset:
-    """The one reduction shape: ``merge`` combines ``fanin_rows``-row
-    batches in tasks, then ``final`` (default ``merge``) merges all of
-    their outputs in a single task.  Lazy; the output is one block."""
-    # num_cpus=0.5 keeps the fan-in UNFUSED from the upstream heavy map
-    # (fusion would bundle the extractor's inputs up to fanin_rows pages
-    # per task, wrecking its task granularity)
-    return (
-        ds.map_batches(
-            merge, batch_format="pyarrow", batch_size=fanin_rows, num_cpus=0.5
-        )
-        .repartition(1)
-        .map_batches(final or merge, batch_format="pyarrow", batch_size=None)
+def _fold(tables: Iterable[pa.Table], merge: Callable[[pa.Table], pa.Table]) -> pa.Table:
+    """Streaming fold of an associative ``merge`` over ``tables``: blocks
+    are buffered until the buffer holds at least as many rows as the
+    accumulator, then the accumulator and the buffer are merged in one
+    call.  A merge's input is thus at most twice its buffered rows, and at
+    most twice the accumulator plus one block: the work is linear in the
+    rows read, and with an accumulator of one row per key the memory is
+    bounded by the key space, not by the stream.  Empty and schemaless
+    blocks are skipped; no rows at all give ``merge`` of an empty table."""
+    acc: pa.Table | None = None
+    buf: list[pa.Table] = []
+    buffered = 0
+    for t in tables:
+        if not t.num_rows:
+            continue
+        buf.append(t)
+        buffered += t.num_rows
+        if buffered >= (acc.num_rows if acc is not None else 0):
+            acc = merge(pa.concat_tables(buf if acc is None else [acc, *buf]))
+            buf, buffered = [], 0
+    if buf:
+        acc = merge(pa.concat_tables([acc, *buf]))
+    return acc if acc is not None else merge(pa.table({}))
+
+
+def fold_partials(tables: Iterable[pa.Table], sources_cap: int = 8) -> pa.Table:
+    """Partial (or already canonical) edge tables -> one canonical edge
+    table, sorted by (subject, object, predicate): :func:`_fold` with
+    :func:`_merge_arrow`.  Neither the rows nor their order depend on how
+    the input falls into tables."""
+    cols = TRIPLE_KEY + ["support", "sources"]
+    return _fold(
+        (t.select(cols) for t in tables if t.num_rows),
+        lambda t: _merge_arrow(t, TRIPLE_KEY, sources_cap),
     )
 
 
-def canonicalize_partials(
-    partials: Dataset, sources_cap: int = 8, fanin_rows: int = _FANIN_ROWS
-) -> Dataset:
+def as_dataset(table: pa.Table) -> Dataset:
+    """A driver-side table as a one-block, already materialized Dataset:
+    iterating it runs no Ray Data execution (a plain ``from_arrow``
+    Dataset starts an ``Input`` execution each time it is iterated).
+    ``materialize`` of a ``from_arrow`` Dataset takes Ray's shortcut for
+    in-memory sources, so it runs none either.  ``ray.data.from_blocks``
+    would skip ``from_arrow``'s remote metadata task, but with it Ray
+    2.49 failed internal checks (task manager, reference counter) and
+    aborted the driver later in the same session."""
+    return ray.data.from_arrow(table).materialize()
+
+
+def canonicalize_partials(partials: Dataset, sources_cap: int = 8) -> Dataset:
     """Partial (or already canonical) edge rows -> canonical edge table:
-    :func:`_reduce_once` with :func:`_merge_arrow`.  Arrow end to end; the
-    output is sorted by (subject, object, predicate), and neither its rows
-    nor their order depend on ``fanin_rows`` or block arrival order."""
-
-    def merge(g: pa.Table) -> pa.Table:
-        return _merge_arrow(g, TRIPLE_KEY, sources_cap)
-
-    return _reduce_once(partials, merge, fanin_rows)
+    :func:`fold_partials` on the driver over the blocks of ``partials`` as
+    they stream in (one Ray Data execution), returned as a one-block
+    Dataset."""
+    blocks = partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    return as_dataset(fold_partials(blocks, sources_cap))
 
 
 def canonicalize_triples(
@@ -331,11 +351,12 @@ def canonicalize_mentions(
     (an ontology surface form, so the key space is ontology-sized).
 
     Output: surface_norm, n_mentions (int64) and — when ``surface_index``
-    is given — node_label (nullable), sorted by surface_norm.  Each block
-    is counted with a pyarrow ``group_by``, then the counts are summed by
-    :func:`_reduce_once`.  ``node_label`` is functionally dependent on
-    ``surface_norm``, so the final task looks it up in the (ontology-sized)
-    ``surface_index`` it carries in its closure.
+    is given — node_label (nullable), sorted by surface_norm, as a
+    one-block Dataset.  Each block is counted with a pyarrow ``group_by``
+    in tasks, then the counts are summed by :func:`_fold` with
+    :func:`_count_merge` on the driver.  ``node_label`` is functionally
+    dependent on ``surface_norm``, so it is looked up in the
+    (ontology-sized) ``surface_index`` after the fold.
     """
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -346,12 +367,10 @@ def canonicalize_mentions(
             ["surface_norm", "n_mentions"]
         )
 
-    def final(batch: pa.Table) -> pa.Table:
-        out = _count_merge(batch).sort_by("surface_norm")
-        if surface_index is None:
-            return out
-        labels = [surface_index.get(s) for s in out.column("surface_norm").to_pylist()]
-        return out.append_column("node_label", pa.array(labels, pa.string()))
-
     partials = mentions.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return _reduce_once(partials, _count_merge, final=final)
+    blocks = partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    out = _fold(blocks, _count_merge).sort_by("surface_norm")
+    if surface_index is not None:
+        labels = [surface_index.get(s) for s in out.column("surface_norm").to_pylist()]
+        out = out.append_column("node_label", pa.array(labels, pa.string()))
+    return as_dataset(out)

@@ -145,6 +145,23 @@ def _extract_vectorized(strings: pa.Array) -> pa.Array:
     return pc.utf8_trim(x, characters=_STRIP + "\n")
 
 
+def _invalid_utf8_rows(col: pa.Array, offset: int = 0) -> list[int]:
+    """Indices of the rows of a binary column that are not valid UTF-8:
+    Arrow's own cast validates each slice, and a failing slice is halved
+    until the failing rows stand alone (k bad rows cost O(k log n) casts
+    of zero-copy slices)."""
+    try:
+        col.cast(pa.string())
+        return []
+    except pa.ArrowInvalid:
+        if len(col) == 1:
+            return [offset]
+    mid = len(col) // 2
+    return _invalid_utf8_rows(col.slice(0, mid), offset) + _invalid_utf8_rows(
+        col.slice(mid), offset + mid
+    )
+
+
 def extract_pages_batch(batch: pa.Table) -> pa.Table:
     """Stateless map_batches body: (url, warc_ts, html, lang) ->
     (url, warc_ts, lang, extracted_text).
@@ -152,19 +169,33 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
     Runs the Arrow-kernel fast path for the whole column; rows the fast
     path cannot reproduce byte-identically (numeric character entities,
     U+017F or U+212A, invalid UTF-8 payloads) are recomputed with the
-    frozen python function.  The ``html`` (and WET ``text``) columns are
-    dropped here so no downstream block carries the wide payload.
+    frozen python function, row by row.  The ``html`` (and WET ``text``)
+    columns are dropped here so no downstream block carries the wide
+    payload.
     """
+    import numpy as np
     import pyarrow.compute as pc
 
     html_col = batch.column("html")
     try:
+        if isinstance(html_col, pa.ChunkedArray):
+            html_col = html_col.combine_chunks()
+        patched: dict[int, str] = {}
+        strings = html_col
         if pa.types.is_binary(html_col.type) or pa.types.is_large_binary(html_col.type):
-            strings = html_col.cast(pa.string())  # validates utf-8
-        else:
-            strings = html_col
-        if isinstance(strings, pa.ChunkedArray):
-            strings = strings.combine_chunks()
+            try:
+                strings = html_col.cast(pa.string())  # validates utf-8
+            except pa.ArrowInvalid:
+                # only the invalid rows take the frozen function; they are
+                # nulled out of the fast path's input
+                bad = _invalid_utf8_rows(html_col)
+                raws = html_col.take(pa.array(bad, pa.int64())).to_pylist()
+                patched = {i: extract_text(r) for i, r in zip(bad, raws)}
+                keep = np.ones(len(html_col), dtype=bool)
+                keep[bad] = False
+                strings = pc.if_else(
+                    pa.array(keep), html_col, pa.scalar(None, html_col.type)
+                ).cast(pa.string())
         text_col = pc.fill_null(_extract_vectorized(strings), "")
         # gate the python recompute path with Arrow kernels: only the rows
         # the coarse gates match are pulled into python, where
@@ -175,26 +206,24 @@ def extract_pages_batch(batch: pa.Table) -> pa.Table:
         )
         coarse = pc.fill_null(coarse, False)
         if pc.any(coarse).as_py():
-            import numpy as np
-
             idx = np.flatnonzero(coarse.to_numpy(zero_copy_only=False))
             raws = strings.take(pa.array(idx)).to_pylist()
-            patched = {
-                int(i): extract_text(r or "")
+            patched.update(
+                (int(i), extract_text(r or ""))
                 for i, r in zip(idx, raws)
                 if r and _NUMERIC_GATE.search(r)
-            }
-            if patched:
-                texts = text_col.to_pylist()
-                for i, t in patched.items():
-                    texts[i] = t
-                text_col = pa.array(texts, pa.string())
+            )
+        if patched:
+            texts = text_col.to_pylist()
+            for i, t in patched.items():
+                texts[i] = t
+            text_col = pa.array(texts, pa.string())
     except Exception:
-        # fallback: invalid utf-8 somewhere in the batch (or kernel
-        # failure) — frozen per-row path, byte-for-byte the reference;
-        # extract_text is total over bytes, so no row can fail here
+        # fallback on a kernel failure: frozen per-row path, byte-for-byte
+        # the reference; extract_text is total over bytes, so no row can
+        # fail here
         text_col = pa.array(
-            [extract_text(h or b"") for h in html_col.to_pylist()], pa.string()
+            [extract_text(h or b"") for h in batch.column("html").to_pylist()], pa.string()
         )
-    keep = [c for c in ("url", "warc_ts", "lang") if c in batch.column_names]
-    return batch.select(keep).append_column("extracted_text", text_col)
+    keep_cols = [c for c in ("url", "warc_ts", "lang") if c in batch.column_names]
+    return batch.select(keep_cols).append_column("extracted_text", text_col)

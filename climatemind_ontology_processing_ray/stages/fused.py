@@ -9,14 +9,14 @@ extractor, the linker and ``partial_triple_agg_arrow`` inside one
 executor fuses it with its upstream tasks and the pipeline plan is
 
     read -> [lang filter -> extract -> THIS] (one fused operator)
-         -> fan-in combine -> one final merge task
+         => driver fold of the partial blocks (no operator after this one)
 
 A custom front end is a composition, not a config knob (SURVEY §2.9): a
 UDF that turns extracted pages into triple partials (say a
 ``TripleExtractor`` subclass, then ``EntityLinker`` and
 ``partial_triple_agg_arrow``) runs as
 ``extract_pages(pages, cfg).map_batches(per_worker(MyUDF, ...))``, and
-``canonicalize_partials`` reduces its output.
+``canonicalize_partials`` folds its output on the driver.
 """
 
 from __future__ import annotations

@@ -6,30 +6,35 @@ it (north_rule: "resumable from checkpoint with per-partition lineage +
 metrics so a killed run restarts from the last completed stage").
 
 The KG pipeline checkpoints two stages, ``partials`` (the fused front
-end's map-side partials) and ``canonical_edges``; extracted text is
-recomputed from the pages, since no resume reads it.  Layout per stage::
+end's map-side partials, written by Ray with ``Dataset.write_parquet``:
+:meth:`CheckpointManager.stage`) and ``canonical_edges`` (the driver fold
+of the ``partials`` table, written with ``pq.write_table``:
+:meth:`CheckpointManager.stage_table`); extracted text is recomputed from
+the pages, since no resume reads it.  Layout per stage, the same for both
+writers::
 
     <root>/<stage>/part-*.parquet        (written to <stage>.tmp, then renamed)
     <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
 
-A stage without rows has no part files (Ray writes none) and a manifest
-with ``rows: 0`` and ``files: []``; a hit on it is an empty Dataset and
-``read_table`` gives a table with no rows and no columns.
+A stage without rows has no part files and a manifest with ``rows: 0``
+and ``files: []``; a hit on it is an empty Dataset (``stage``) or a
+table with no rows and no columns (``stage_table``, ``read_table``).
 
 A stage whose manifest matches the run key is *not* recomputed — it is
-re-read with ``ray.data.read_parquet`` (hit counters exposed for tests).
-The atomic tmp-dir rename means a kill mid-write leaves no manifest and
-the stage re-runs cleanly.
+re-read, with ``ray.data.read_parquet`` (``stage``) or pyarrow on the
+driver (``stage_table``); hit counters are exposed for tests.  The atomic
+tmp-dir rename means a kill mid-write leaves no manifest and the stage
+re-runs cleanly.
 
 The last stage, publish (``pipelines/api.py:process_pages``), is keyed on
-the ``canonical_edges`` manifest (its run key, which folds in the corpus
-and ontology fingerprints, and its file md5s), ``emit_mentions`` and the
-package version.  It reads the canonical edges once on the driver with
-``read_table("canonical_edges")`` (pyarrow, no Ray job) and builds every
-output from that table.  Its outputs are staged and committed under one
-``<output_dir>/_PUBLISH.json`` (``state/publish.py``); a run whose
-``canonical_edges`` stage is a hit and whose published manifest has the
-same key and verifies file by file writes nothing.
+the ``canonical_edges`` manifest's run key (which folds in the corpus,
+ontology and config fingerprints), a digest of the edge table's cells,
+``emit_mentions`` and the package version.  It builds every output from
+the driver-side table that ``stage_table("canonical_edges", ...)``
+returned (pyarrow, no Ray job).  Its outputs are staged and committed
+under one ``<output_dir>/_PUBLISH.json`` (``state/publish.py``); a run
+whose published manifest has the same key and verifies file by file
+writes nothing.
 """
 
 from __future__ import annotations
@@ -68,16 +73,11 @@ class CheckpointManager:
         stage_dir = os.path.join(self.root, stage)
         return stage_dir, stage_dir + ".tmp", os.path.join(stage_dir, "_MANIFEST.json")
 
-    def stage(
-        self, stage: str, compute: Callable[[], "ray.data.Dataset"]
-    ) -> "ray.data.Dataset":
-        """Return the stage's Dataset, from checkpoint if complete.
-
-        With no checkpoint root the stage stays fully lazy (pure streaming
-        execution, no materialization)."""
-        if not self.root:
-            self.misses.append(stage)
-            return compute()
+    def ensure(self, stage: str, write: Callable[[str], None]) -> bool:
+        """Make the stage complete under the run key and say whether it
+        already was (a hit).  On a miss, ``write(tmp_dir)`` writes its
+        parquet files, the manifest records them, and the tmp dir is
+        renamed into place."""
         stage_dir, tmp_dir, manifest_path = self._paths(stage)
         if os.path.exists(manifest_path):
             try:
@@ -85,17 +85,16 @@ class CheckpointManager:
                     manifest = json.load(f)
                 if manifest.get("key") == self.run_key and manifest.get("complete"):
                     self.hits.append(stage)
-                    return _read(stage_dir, manifest)
+                    return True
             except (OSError, json.JSONDecodeError):
                 pass
         self.misses.append(stage)
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(stage_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        ds = compute()
-        ds.write_parquet(tmp_dir)
-        # Ray writes no file (and no directory) for a Dataset without
-        # rows: the stage is then recorded with no files
+        write(tmp_dir)
+        # a stage without rows leaves no file (Ray not even the
+        # directory): it is then recorded with no files
         os.makedirs(tmp_dir, exist_ok=True)
         elapsed = time.perf_counter() - t0
         files = []
@@ -119,7 +118,41 @@ class CheckpointManager:
         with open(os.path.join(tmp_dir, "_MANIFEST.json"), "w") as f:
             json.dump(manifest, f, indent=1)
         os.rename(tmp_dir, stage_dir)  # atomic finalize
-        return _read(stage_dir, manifest)
+        return False
+
+    def stage(
+        self, stage: str, compute: Callable[[], "ray.data.Dataset"]
+    ) -> "ray.data.Dataset":
+        """Return the stage's Dataset, from checkpoint if complete; a miss
+        runs ``compute()`` as one ``write_parquet``.
+
+        With no checkpoint root the stage stays fully lazy (pure streaming
+        execution, no materialization)."""
+        if not self.root:
+            self.misses.append(stage)
+            return compute()
+        self.ensure(stage, lambda tmp: compute().write_parquet(tmp))
+        return _read(self._paths(stage)[0], self.manifest(stage))
+
+    def stage_table(self, stage: str, compute: Callable[[], pa.Table]) -> pa.Table:
+        """The driver-side counterpart of :meth:`stage`: ``compute()``
+        returns a ``pa.Table``, which a miss writes with
+        ``pq.write_table`` under the same tmp-dir + rename protocol and
+        manifest.  Hit or miss, the stage comes back as :meth:`read_table`
+        reads it, so a warm run sees the same table as the cold one.  With
+        no checkpoint root it is ``compute()``."""
+        if not self.root:
+            self.misses.append(stage)
+            return compute()
+
+        def write(tmp_dir: str) -> None:
+            table = compute()
+            os.makedirs(tmp_dir)
+            if table.num_rows:
+                pq.write_table(table, os.path.join(tmp_dir, "part-0.parquet"))
+
+        self.ensure(stage, write)
+        return self.read_table(stage)
 
     def manifest(self, stage: str) -> dict | None:
         if not self.root:

@@ -1,10 +1,6 @@
 """The canonicalization reductions (stages/canonicalize.py): the hot-key
-bound of the map-side + fan-in combines on the single merge task's input,
-output invariance under fan-in size, incremental merge, and plans with no
-Sort."""
-
-import math
-import re
+and state bound of the driver fold, output invariance under block
+boundaries, incremental merge, and plans with no Sort or Repartition."""
 
 import numpy as np
 import pyarrow as pa
@@ -13,12 +9,10 @@ import pytest
 
 from climatemind_ontology_processing_ray.stages.canonicalize import (
     TRIPLE_KEY,
-    _FANIN_ROWS,
-    _merge_arrow,
-    _reduce_once,
     canonicalize_mentions,
     canonicalize_partials,
     canonicalize_triples,
+    fold_partials,
     partial_triple_agg_arrow,
 )
 
@@ -72,7 +66,10 @@ def _tables(ds) -> list[pa.Table]:
 
 
 def _rows(ds) -> list[tuple]:
-    tbl = pa.concat_tables(_tables(ds))
+    return _table_rows(pa.concat_tables(_tables(ds)))
+
+
+def _table_rows(tbl: pa.Table) -> list[tuple]:
     return sorted(
         zip(
             *(tbl.column(c).to_pylist() for c in TRIPLE_KEY),
@@ -82,8 +79,7 @@ def _rows(ds) -> list[tuple]:
     )
 
 
-def _hot_rows(ds) -> pa.Table:
-    tbl = pa.concat_tables(_tables(ds))
+def _hot_rows(tbl: pa.Table) -> pa.Table:
     mask = pc.and_(
         pc.and_(pc.equal(tbl["subject"], HOT[0]), pc.equal(tbl["object"], HOT[1])),
         pc.equal(tbl["predicate"], HOT[2]),
@@ -110,70 +106,76 @@ def _reference(blocks) -> list[tuple]:
     )
 
 
-def test_hot_key_reducer_rows_bounded(ray_session, linked_blocks):
-    """Skew bound of the single merge task: with many fan-in batches, a
-    triple on 60% of the rows enters it as at most
-    ceil(partial rows / fanin_rows) rows — one per fan-in batch, not one
-    per upstream block or per occurrence — and the output still equals the
-    group_by reference."""
-    fanin_rows = 100  # 4 partial blocks of 25 rows per fan-in batch
-    partials = _partials(linked_blocks).materialize()
-    partial_rows = partials.count()
-    assert partial_rows == N_BLOCKS * (COLD_KEYS_PER_BLOCK + 1)
+def test_hot_key_reducer_rows_bounded(monkeypatch, linked_blocks):
+    """State bound of the driver fold, seen by a spy on its merge: with a
+    triple on 60% of the rows, every merge returns one row per key (the
+    hot triple once), no merge input exceeds 2 x the distinct keys + the
+    largest block, and the output equals the group_by reference."""
+    from climatemind_ontology_processing_ray.stages import canonicalize
 
-    # without the fan-in the map-side combine alone sends one row per block
-    assert _hot_rows(partials).num_rows == N_BLOCKS
+    tables = [partial_triple_agg_arrow(b, 16, SOURCES_CAP) for b in linked_blocks]
+    assert sum(t.num_rows for t in tables) == N_BLOCKS * (COLD_KEYS_PER_BLOCK + 1)
+    # the map-side combine alone sends one hot row per block
+    assert sum(_hot_rows(t).num_rows for t in tables) == N_BLOCKS
+    distinct = len(_reference(linked_blocks))
+    largest = max(t.num_rows for t in tables)
 
-    def merge(b: pa.Table) -> pa.Table:
-        return _merge_arrow(b, TRIPLE_KEY, SOURCES_CAP)
+    merges = []
+    real = canonicalize._merge_arrow
 
-    # an identity final task returns exactly the merge task's input
-    merge_input = _reduce_once(partials, merge, fanin_rows, final=lambda b: b)
-    hot = _hot_rows(merge_input)
-    assert hot.num_rows <= math.ceil(partial_rows / fanin_rows)
-    assert sum(hot.column("support").to_pylist()) == N_BLOCKS * HOT_PER_BLOCK
+    def spy(tbl, keys, sources_cap):
+        out = real(tbl, keys, sources_cap)
+        merges.append((tbl.num_rows, out))
+        return out
 
-    out = _rows(canonicalize_partials(partials, SOURCES_CAP, fanin_rows))
-    assert out == _reference(linked_blocks)
+    monkeypatch.setattr(canonicalize, "_merge_arrow", spy)
+    out = fold_partials(tables, SOURCES_CAP)
+    assert len(merges) > 1
+    for rows_in, acc in merges:
+        assert rows_in <= 2 * distinct + largest, (rows_in, distinct, largest)
+        keys = set(zip(*(acc.column(c).to_pylist() for c in TRIPLE_KEY)))
+        assert len(keys) == acc.num_rows
+        assert _hot_rows(acc).num_rows == 1
+    assert sum(_hot_rows(out).column("support").to_pylist()) == N_BLOCKS * HOT_PER_BLOCK
+    assert _table_rows(out) == _reference(linked_blocks)
 
 
-def test_output_invariant_to_fanin_and_parts(ray_session, linked_blocks):
-    """Same sorted edge rows at any fan-in size, and an incremental merge
-    of two halves equals one pass over their union."""
+def test_output_invariant_to_blocks_and_parts(ray_session, linked_blocks):
+    """The same sorted edge rows however the partials fall into blocks
+    (per upstream block, one table, one row per table, or streamed from a
+    Dataset), and an incremental merge of two halves equals one pass over
+    their union."""
     from climatemind_ontology_processing_ray.pipelines.api import merge_canonical_edges
 
     partials = _partials(linked_blocks).materialize()
     expected = _reference(linked_blocks)
-    for fanin_rows in (60, _FANIN_ROWS):
-        got = _rows(canonicalize_partials(partials, SOURCES_CAP, fanin_rows))
-        assert got == expected, fanin_rows
+    tables = _tables(partials)
+    one_row = [t.slice(i, 1) for t in tables for i in range(t.num_rows)]
+    for blocks in (tables, [pa.concat_tables(tables)], one_row):
+        assert _table_rows(fold_partials(blocks, SOURCES_CAP)) == expected, len(blocks)
+    assert _rows(canonicalize_partials(partials, SOURCES_CAP)) == expected
 
     half = N_BLOCKS // 2
     a = canonicalize_partials(_partials(linked_blocks[:half]), SOURCES_CAP)
     b = canonicalize_partials(_partials(linked_blocks[half:]), SOURCES_CAP)
-    one_pass = _rows(canonicalize_partials(partials, SOURCES_CAP))
-    assert _rows(merge_canonical_edges(a, b, SOURCES_CAP)) == one_pass == expected
+    assert _rows(merge_canonical_edges(a, b, SOURCES_CAP)) == expected
 
 
-def _operators(stats: str, name: str) -> list[str]:
-    return re.findall(rf"^Operator \d+ {name}\b", stats, re.M)
-
-
-def test_canonicalize_plans_have_no_sort(ray_session, linked_blocks):
-    """Plan guard: neither canonicalization runs a Sort; edges end in one
-    Repartition feeding the single merge task."""
+def test_canonicalize_plans_have_no_sort(ray_session, linked_blocks, ray_executions):
+    """Plan guard: each canonicalization is one Ray Data execution that
+    runs no Sort and no Repartition; the merge is the driver fold."""
     import ray.data
 
-    out = canonicalize_triples(ray.data.from_arrow(linked_blocks)).materialize()
-    stats = out.stats()
-    assert not _operators(stats, "Sort"), stats
-    assert len(_operators(stats, "Repartition")) == 1, stats
-
+    edges = canonicalize_triples(ray.data.from_arrow(linked_blocks))
     mentions = ray.data.from_arrow(
         [b.select(["url"]).append_column("surface_norm", b["subj_label"]) for b in linked_blocks]
     )
-    counts = canonicalize_mentions(mentions).materialize()
-    assert not _operators(counts.stats(), "Sort"), counts.stats()
+    counts = canonicalize_mentions(mentions)
+    assert len(ray_executions) == 2, ray_executions
+    operators = [name for run in ray_executions for name in run]
+    assert not [n for n in operators if "Sort" in n or "Repartition" in n], ray_executions
+
+    assert _rows(edges) == _reference(linked_blocks)
     naive = pc.value_counts(pa.concat_tables(linked_blocks)["subj_label"])
     assert counts.take_all() == [
         {"surface_norm": s, "n_mentions": n}
@@ -184,13 +186,13 @@ def test_canonicalize_plans_have_no_sort(ray_session, linked_blocks):
 
 
 def test_output_order_is_independent_of_block_order(ray_session, linked_blocks):
-    """Canonical edges leave the final merge sorted by (subject, object,
+    """Canonical edges leave the fold sorted by (subject, object,
     predicate): the same partial blocks arriving in either order give
     equal tables, so the published ``canonical_edges/`` bytes do not
-    depend on which fan-in block lands first."""
+    depend on which block lands first."""
     a, b = linked_blocks[: N_BLOCKS // 2], linked_blocks[N_BLOCKS // 2 :]
     ab, ba = (
-        pa.concat_tables(_tables(canonicalize_partials(_partials(bs), SOURCES_CAP, 60)))
+        pa.concat_tables(_tables(canonicalize_partials(_partials(bs), SOURCES_CAP)))
         for bs in (a + b, b + a)
     )
     assert ab.equals(ba)

@@ -110,7 +110,7 @@ def test_null_columns_handled(ray_session):
 def test_vectorized_path_byte_identical_fuzz():
     """The Arrow-kernel fast path must be byte-identical to the frozen
     python function for arbitrary inputs — including numeric entities
-    (gated to the python path) and invalid utf-8 (batch fallback).  The
+    (gated to the python path) and invalid utf-8 (per-row fallback).  The
     later fragments are the places RE2 and the frozen regexes part:
     Unicode whitespace that str.strip() removes at a line's edges, style
     and script nested in each other, \\v before a closing tag's ">"
@@ -152,8 +152,8 @@ def test_vectorized_path_byte_identical_fuzz():
         "<\u017fcript>x</\u017fcript>y".encode(),
         "<bloc\u212aquote>z".encode(),
     ]
-    # one invalid utf-8 row sends its whole batch to the frozen function,
-    # so it gets a batch of its own and the rest run the fast path
+    # the second batch leads with an invalid utf-8 row, which alone takes
+    # the frozen function (test_invalid_utf8_row_alone_takes_the_python_path)
     for rows in (htmls, [b"\xff\xfe invalid utf8 <p>x</p>", *htmls[:50]]):
         batch = pa.table(
             {
@@ -164,6 +164,36 @@ def test_vectorized_path_byte_identical_fuzz():
         )
         got = extract_pages_batch(batch).column("extracted_text").to_pylist()
         assert got == [extract_text(h) for h in rows]
+
+
+def test_invalid_utf8_row_alone_takes_the_python_path(monkeypatch):
+    """One invalid utf-8 row in a batch of valid pages is the only row sent
+    to the frozen function; every row still equals ``extract_text``."""
+    import pyarrow as pa
+
+    from climatemind_ontology_processing_ray.stages import extract
+
+    rows = [f"<p>page {i}</p><div>text &amp; more</div>".encode() for i in range(200)]
+    rows.insert(137, b"\xff\xfe invalid utf8 <p>x</p>")
+    batch = pa.table(
+        {
+            "url": pa.array([f"u{i}" for i in range(len(rows))]),
+            "html": pa.array(rows, pa.binary()),
+            "lang": pa.array(["en"] * len(rows)),
+        }
+    )
+    calls = []
+    real = extract.extract_text
+
+    def spy(html):
+        calls.append(html)
+        return real(html)
+
+    monkeypatch.setattr(extract, "extract_text", spy)
+    got = extract.extract_pages_batch(batch).column("extracted_text").to_pylist()
+    assert calls == [rows[137]]
+    monkeypatch.undo()
+    assert got == [extract_text(h) for h in rows]
 
 
 def test_fast_path_character_tables():

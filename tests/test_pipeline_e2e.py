@@ -1,6 +1,8 @@
 """End-to-end KG pipeline: P/R gate, determinism across parallelism,
 canonicalization counts, adjacency schema (SURVEY §5.2 items 3-4)."""
 
+import re
+
 import pyarrow as pa
 import pytest
 
@@ -364,3 +366,26 @@ def test_extract_link_fn_matches_driver_kernels(ray_session, snapshot):
         norm(kernels.select(cols).to_pandas()),
         norm(piped.select_columns(cols).to_pandas()),
     )
+
+
+def test_stats_describe_the_executed_front_end(ray_session, snapshot, pages_and_info):
+    """``KGResult.stats()`` reports the front end that ran (its one fused
+    operator, and no Repartition after it) and one line for the driver
+    fold's rows and seconds."""
+    import ray.data
+
+    table, _ = pages_and_info
+    pages = ray.data.from_arrow([table.slice(i, 75) for i in range(0, table.num_rows, 75)])
+    res = run_kg_pipeline(pages, snapshot, KGConfig(batch_size=64))
+    text = res.stats()
+    assert re.search(
+        r"^Operator \d+ MapBatches\(keep\)->MapBatches\(extract_pages_batch\)->MapBatches\(fn\):",
+        text,
+        re.M,
+    ), text
+    assert "Repartition" not in text, text
+    rows_in, rows_out, _ = res.fold
+    assert rows_out == res.edges.num_rows > 0 and rows_in >= rows_out
+    assert re.search(
+        rf"^Driver fold: {rows_in} partial rows in, {rows_out} edges out in [0-9.]+s$", text, re.M
+    ), text

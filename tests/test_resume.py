@@ -527,9 +527,10 @@ def test_killed_publish_leaves_one_complete_set(
 def test_cold_publish_writes_only_the_checkpoints(
     ray_session, snapshot, table, tmp_path, monkeypatch
 ):
-    """A cold checkpointed publish without mentions runs the two
-    checkpoint writes and no Ray Data job after them: the back end works
-    on the driver-side edge table.  The warm run writes no Dataset."""
+    """A cold checkpointed publish without mentions writes one Dataset,
+    the ``partials`` checkpoint, and runs no Ray Data job after it: the
+    fold, the ``canonical_edges`` checkpoint and the back end work on
+    driver-side tables.  The warm run writes no Dataset."""
     import ray.data
 
     calls = []
@@ -547,7 +548,7 @@ def test_cold_publish_writes_only_the_checkpoints(
     monkeypatch.setattr(ray.data.Dataset, "to_pandas", no_collect)
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
     _publish(table, snapshot, out, ckpt)
-    assert calls == ["partials.tmp", "canonical_edges.tmp"]
+    assert calls == ["partials.tmp"]
     calls.clear()
     _publish(table, snapshot, out, ckpt)
     assert calls == []
@@ -561,6 +562,85 @@ def test_uncheckpointed_publish_runs_one_execution(
     re-runs a lazy plan for its schema)."""
     _publish(table, snapshot, str(tmp_path / "out"), None)
     assert len(ray_executions) == 1, ray_executions
+
+
+def test_checkpointed_publish_runs_one_execution(
+    ray_session, snapshot, table, tmp_path, ray_executions
+):
+    """Plan guard: over a Parquet corpus, a cold checkpointed
+    ``process_pages`` runs one Ray Data execution, the front end written
+    as ``partials``; the fold reads it back with pyarrow.  The warm run
+    runs none."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(table, path)
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    for runs in (1, 0):
+        ray_executions.clear()
+        process_pages(ray.data.read_parquet(path), str(tmp_path / "out"), snapshot, cfg)
+        assert len(ray_executions) == runs, ray_executions
+
+
+def _file_bytes(out: str) -> dict:
+    """Every file under ``out``, by relative path."""
+    got = {}
+    for d, _, names in os.walk(out):
+        for name in names:
+            with open(os.path.join(d, name), "rb") as f:
+                got[os.path.relpath(os.path.join(d, name), out)] = f.read()
+    return got
+
+
+def test_killed_canonical_edges_write_resumes_from_partials(
+    ray_session, snapshot, table, tmp_path, monkeypatch
+):
+    """A kill inside the pyarrow write of the ``canonical_edges`` stage
+    (its part file half done) leaves no ``canonical_edges`` manifest and
+    the ``partials`` checkpoint untouched; the next run hits ``partials``,
+    recomputes only ``canonical_edges`` and publishes the same bytes as a
+    fresh run."""
+    import pyarrow.parquet as pq
+
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    fresh = str(tmp_path / "fresh")
+    _publish(table, snapshot, fresh, str(tmp_path / "fresh_ckpt"))
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    real_write = pq.write_table
+
+    def killed_write(tbl, where, *a, **k):
+        real_write(tbl.slice(0, tbl.num_rows // 2), where, *a, **k)
+        raise Killed("canonical_edges write")
+
+    monkeypatch.setattr(checkpoint.pq, "write_table", killed_write)
+    with pytest.raises(Killed):
+        _publish(table, snapshot, out, ckpt)
+    monkeypatch.undo()
+
+    assert not os.path.exists(os.path.join(ckpt, "canonical_edges", "_MANIFEST.json"))
+    partials = _identity(os.path.join(ckpt, "partials"))
+    mgr = checkpoint.CheckpointManager(ckpt)
+    manifest = mgr.manifest("partials")
+    assert manifest["complete"] and manifest["rows"] == mgr.read_table("partials").num_rows
+
+    ensured = []
+    real_ensure = checkpoint.CheckpointManager.ensure
+
+    def ensure(self, stage, write):
+        hit = real_ensure(self, stage, write)
+        ensured.append((stage, hit))
+        return hit
+
+    monkeypatch.setattr(checkpoint.CheckpointManager, "ensure", ensure)
+    _publish(table, snapshot, out, ckpt)
+    assert ensured == [("partials", True), ("canonical_edges", False)]
+    assert _identity(os.path.join(ckpt, "partials")) == partials
+    assert _file_bytes(out) == _file_bytes(fresh)
 
 
 @pytest.mark.parametrize("case", ["no_english_page", "link_threshold_above_1"])
