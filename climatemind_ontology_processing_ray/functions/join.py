@@ -90,13 +90,29 @@ def _plan_columns(
     return l_map, r_map
 
 
-def _union_types(left, right, l_map, r_map) -> dict:
+def _settled(ds: Dataset) -> tuple[Dataset, object]:
+    """``ds`` and its schema, read without an early-stopped execution.
+    ``Dataset.schema()`` on an unexecuted plan runs it under ``limit(1)``
+    and cancels the tasks still in flight, and in ray 2.49 such a cancel
+    can race the task's completion and abort the driver process
+    (``Check failed: it != submissible_tasks_.end()`` in the core
+    worker).  A plan whose schema is unknown runs to completion once
+    instead; the join then reads those blocks rather than running the
+    plan again.  The schema is the first non-empty block's."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None:
+        ds = ds.materialize()
+        sch = ds.schema()
+    return ds, sch
+
+
+def _union_types(l_sch, r_sch, l_map, r_map) -> dict:
     """Renamed-column -> Arrow type for the aligned union schema, so the
     side that lacks a column emits TYPED nulls.  Untyped ``pa.nulls``
     (type null) makes every left block's schema differ from every right
     block's, and the sort exchange then re-coerces per block."""
     out = {}
-    for sch, m in ((left.schema(), l_map), (right.schema(), r_map)):
+    for sch, m in ((l_sch, l_map), (r_sch, r_map)):
         names = list(sch.names)
         types = list(getattr(sch, "types", []) or [])
         for name, typ in zip(names, types):
@@ -165,13 +181,13 @@ def bucketed_hash_join(
         # (256 buckets 47.9s vs 128 at 69.9s — too-coarse wave
         # quantization — and 916 at 70.9s — per-reduce fetch overhead)
         num_buckets = _adaptive_buckets(left, right, rows_per_bucket=65_536)
-    l_map, r_map = _plan_columns(
-        list(left.schema().names), list(right.schema().names), key
-    )
+    left, l_sch = _settled(left)
+    right, r_sch = _settled(right)
+    l_map, r_map = _plan_columns(list(l_sch.names), list(r_sch.names), key)
     l_names = list(l_map.values())
     r_names = list(r_map.values())
     all_names = l_names + [n for n in r_names if n not in l_names]
-    types = _union_types(left, right, l_map, r_map)
+    types = _union_types(l_sch, r_sch, l_map, r_map)
 
     l_tagged = left.map_batches(
         lambda b: _with_schema(b, "l", l_map, all_names, key, num_buckets, types),
@@ -227,9 +243,10 @@ def _bucketed_membership_join(
     column (per-batch distinct — membership needs nothing else), both
     sides bucket by key hash, and one groupby(bucket) co-locates each
     key; left rows are filtered by membership per bucket."""
-    l_map, _ = _plan_columns(list(left.schema().names), [key], key)
+    left, l_sch = _settled(left)
+    l_map, _ = _plan_columns(list(l_sch.names), [key], key)
     l_names = list(l_map.values())
-    types = _union_types(left, left, l_map, l_map)
+    types = _union_types(l_sch, l_sch, l_map, l_map)
 
     def key_only(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -328,19 +345,19 @@ def skew_join(
 
     if num_buckets is None:
         num_buckets = _adaptive_buckets(left, right)
+    left, l_sch = _settled(left)
+    right, r_sch = _settled(right)
     if hot_keys is None:
         sample = left.limit(sample_rows).select_columns([key]).to_pandas()
         counts = sample[key].value_counts()
         hot_keys = set(counts[counts >= max(2, int(len(sample) * hot_frac))].index)
     hot_ref = ray.put(frozenset(hot_keys))
 
-    l_map, r_map = _plan_columns(
-        list(left.schema().names), list(right.schema().names), key
-    )
+    l_map, r_map = _plan_columns(list(l_sch.names), list(r_sch.names), key)
     l_names = list(l_map.values())
     r_names = list(r_map.values())
     all_names = l_names + [n for n in r_names if n not in l_names]
-    types = _union_types(left, right, l_map, r_map)
+    types = _union_types(l_sch, r_sch, l_map, r_map)
     l_other = [n for n in l_names if n != key]
     r_other = [n for n in r_names if n != key and n not in l_names]
     all_names_out = [key] + l_other + r_other
@@ -408,15 +425,15 @@ def asof_join(
     right_ts_col = right_ts_col or ts_col
     if num_buckets is None:
         num_buckets = _adaptive_buckets(left, right, rows_per_bucket=524_288)
-    l_map, r_map = _plan_columns(
-        list(left.schema().names), list(right.schema().names), key
-    )
+    left, l_sch = _settled(left)
+    right, r_sch = _settled(right)
+    l_map, r_map = _plan_columns(list(l_sch.names), list(r_sch.names), key)
     l_names = list(l_map.values())
     r_names = list(r_map.values())
     all_names = l_names + [n for n in r_names if n not in l_names]
     ts_l = l_map[ts_col]
     ts_r = r_map[right_ts_col]
-    types = _union_types(left, right, l_map, r_map)
+    types = _union_types(l_sch, r_sch, l_map, r_map)
 
     l_tagged = left.map_batches(
         lambda b: _with_schema(b, "l", l_map, all_names, key, num_buckets, types),
@@ -520,9 +537,9 @@ def interval_join(
     if num_buckets is None:
         num_buckets = _adaptive_buckets(points, intervals, rows_per_bucket=524_288)
     join_key = key if key is not None else "__bin"
-    l_map, r_map = _plan_columns(
-        list(points.schema().names), list(intervals.schema().names), join_key
-    )
+    points, l_sch = _settled(points)
+    intervals, r_sch = _settled(intervals)
+    l_map, r_map = _plan_columns(list(l_sch.names), list(r_sch.names), join_key)
     l_names = list(l_map.values())
     r_names = list(r_map.values())
     t_l, lo_r, hi_r = l_map[t_col], r_map[lo_col], r_map[hi_col]

@@ -75,6 +75,9 @@ def _tagger(val_col: str, lo: float, width: float, num_bins: int):
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
         v = b[val_col].to_numpy(dtype=np.float64)
+        if np.isnan(v).any():
+            # a NaN cast to int64 lands in a platform-dependent bin
+            raise ValueError(f"column {val_col!r} holds NaN; it has no bin")
         binned = np.clip(((v - lo) / width).astype(np.int64), 0, num_bins - 1)
         b["__bin"] = binned
         return b

@@ -106,9 +106,11 @@ def _topk_sources(
 
 def _empty_canonical(keys: list[str]) -> pa.Table:
     """Typed empty output (subject/object/predicate string, salt int32,
-    support int64, sources list<string>) — empty groupby partitions can
-    hand merge fns schemaless blocks; a typed empty keeps downstream
-    concat/union schemas aligned."""
+    support int64, sources list<string>) for the empty-input cases: a
+    zero-row ``_merge_arrow`` or ``partial_triple_agg_arrow`` call,
+    ``kg.edge_table`` with no block that has columns, and perfbench's
+    ``_part_tag_arrow``.  A typed empty keeps downstream concat/union
+    schemas aligned."""
     cols = {
         k: pa.array([], pa.int32() if k == "salt" else pa.string()) for k in keys
     }

@@ -213,124 +213,6 @@ def test_fast_path_character_tables():
     assert folded and all(_NUMERIC_GATE.search(c) for c in folded)
 
 
-def test_jsonl_pages_source_matches_parquet_path(ray_session, tmp_path):
-    """NDJSON crawl export -> pages contract: schema coerced (string ts ->
-    timestamp[us], html str -> binary, missing lang -> nulls) and the
-    extract stage produces the same text as the parquet-born path."""
-    import json as _json
-
-    import pyarrow as pa
-
-    from climatemind_ontology_processing_ray.sources.jsonl import (
-        PAGES_SCHEMA,
-        read_pages_jsonl,
-    )
-    from climatemind_ontology_processing_ray.stages.extract import (
-        extract_pages_batch,
-    )
-
-    p = tmp_path / "pages.jsonl"
-    rows = [
-        {
-            "url": f"https://ex.org/{i}",
-            "warc_ts": "2024-01-02T03:04:05",
-            "html": f"<html><body><p>doc {i} text</p></body></html>",
-            "text": "",
-        }
-        for i in range(6)
-    ]
-    with open(p, "w") as f:
-        for r in rows:
-            f.write(_json.dumps(r) + "\n")
-
-    ds = read_pages_jsonl(str(p))
-    tbl = pa.Table.from_pylist(ds.take_all())
-    got_schema = ds.schema()
-    assert got_schema.names == PAGES_SCHEMA.names
-    assert str(got_schema.types[1]) == "timestamp[us]"
-    assert str(got_schema.types[2]) == "binary"
-    assert tbl.column("lang").null_count == 6  # absent field -> nulls
-
-    ext = ds.map_batches(extract_pages_batch, batch_format="pyarrow")
-    out = {r["url"]: r["extracted_text"] for r in ext.take_all()}
-    assert out["https://ex.org/3"] == "doc 3 text"
-
-
-def test_jsonl_timestamp_variants(ray_session, tmp_path):
-    """ISO-8601 variants common in crawl exports all parse: fractional
-    seconds, 'Z' suffix, numeric offsets (normalized to UTC wall time) —
-    the read must not raise on any of them (regression: a single-format
-    strptime failed the whole read)."""
-    import datetime as dt
-    import json as _json
-
-    from climatemind_ontology_processing_ray.sources.jsonl import read_pages_jsonl
-
-    cases = [
-        ("2024-01-01T00:00:00", dt.datetime(2024, 1, 1, 0, 0, 0)),
-        ("2024-01-01T00:00:00.123000", dt.datetime(2024, 1, 1, 0, 0, 0, 123000)),
-        ("2024-01-01T00:00:00Z", dt.datetime(2024, 1, 1, 0, 0, 0)),
-        ("2024-01-01T02:00:00+02:00", dt.datetime(2024, 1, 1, 0, 0, 0)),
-    ]
-    p = tmp_path / "ts.jsonl"
-    with open(p, "w") as f:
-        for i, (ts, _) in enumerate(cases):
-            f.write(
-                _json.dumps(
-                    {"url": f"u{i}", "warc_ts": ts, "html": "<p>x</p>", "text": ""}
-                )
-                + "\n"
-            )
-    got = {
-        r["url"]: r["warc_ts"] for r in read_pages_jsonl(str(p)).take_all()
-    }
-    for i, (_, want) in enumerate(cases):
-        ts = got[f"u{i}"]
-        ts = ts.to_pydatetime() if hasattr(ts, "to_pydatetime") else ts
-        if ts.tzinfo is not None:
-            ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
-        assert ts == want, (i, ts, want)
-
-
-def test_parse_iso_ts_mixed_single_batch():
-    """All ISO variants in ONE batch: zone-bearing + naive + fractional
-    together fail both whole-column Arrow casts, and Arrow strptime has no
-    fractional directive — the per-value rescue must still parse every row
-    (regression: fractional rows silently nulled when the batch was mixed;
-    the block-per-row read path masked it).  A nanosecond fraction
-    truncates to µs instead of failing the read."""
-    import datetime as dt
-
-    import pyarrow as pa
-
-    from climatemind_ontology_processing_ray.sources.jsonl import _parse_iso_ts
-
-    col = pa.chunked_array(
-        [
-            pa.array(
-                [
-                    "2024-01-01T00:00:00",
-                    "2024-01-01T00:00:00.123000",
-                    "2024-01-01T00:00:00Z",
-                    "2024-01-01T02:00:00+02:00",
-                    "2024-01-01T00:00:00.123456789",
-                    None,
-                ]
-            )
-        ]
-    )
-    out = _parse_iso_ts(col)
-    want = [
-        dt.datetime(2024, 1, 1, 0, 0, 0),
-        dt.datetime(2024, 1, 1, 0, 0, 0, 123000),
-        dt.datetime(2024, 1, 1, 0, 0, 0),
-        dt.datetime(2024, 1, 1, 0, 0, 0),
-        dt.datetime(2024, 1, 1, 0, 0, 0, 123456),
-        None,
-    ]
-    assert out.to_pylist() == want
-
-
 def test_triples_and_mentions_share_one_sentence_boundary():
     """Triples pair mentions within one sentence of the mention stage's
     boundary ('.', '!', '?', newline): 'Floods causes! Deforestation'

@@ -208,9 +208,6 @@ def test_graph_writers(tmp_path, snapshot, golden):
     from climatemind_ontology_processing_ray.graph.writers import (
         read_edges_csv,
         write_all_artifacts,
-        write_graph_gexf,
-        write_graph_gml,
-        write_graph_graphml,
     )
 
     art = build_enriched_graph(golden, snapshot)
@@ -228,16 +225,6 @@ def test_graph_writers(tmp_path, snapshot, golden):
     with open(paths["test_json"]) as f:
         jit = json.load(f)
     assert all({"id", "name", "data", "adjacencies"} <= set(n) for n in jit)
-    import networkx as nx
-
-    for write, read in (
-        (write_graph_graphml, nx.read_graphml),
-        (write_graph_gexf, nx.read_gexf),
-        (write_graph_gml, nx.read_gml),
-    ):
-        g3 = read(write(art.G, str(tmp_path)))
-        assert g3.number_of_nodes() == art.G.number_of_nodes()
-        assert g3.number_of_edges() == art.G.number_of_edges()
 
 
 def test_dup_clusters_connected_components(ray_session):
@@ -1031,6 +1018,33 @@ def test_skew_join_matches_bucketed_join(ray_session):
             skew_join(left, right, "k", num_buckets=8, num_salts=4, hot_keys=hot)
         )
         pd.testing.assert_frame_equal(got, base)
+
+
+def test_joins_read_input_schemas_without_an_early_stop(ray_session, ray_executions):
+    """Joins over lazily mapped inputs read their schemas without a
+    ``limit(1)`` execution: such a run cancels its in-flight tasks, and in
+    ray 2.49 a cancel racing a task's completion can abort the driver."""
+    import ray.data
+
+    from climatemind_ontology_processing_ray.functions.join import (
+        bucketed_anti_join,
+        bucketed_hash_join,
+    )
+
+    def lazy(df, parts):
+        return (
+            ray.data.from_pandas(df)
+            .repartition(parts)
+            .map_batches(lambda b: b, batch_format="pandas")
+        )
+
+    left = lazy(pd.DataFrame({"k": np.arange(200) % 20, "x": np.arange(200)}), 8)
+    right = lazy(pd.DataFrame({"k": np.arange(10), "y": np.arange(10)}), 2)
+    ray_executions.clear()
+    assert len(bucketed_hash_join(left, right, "k", num_buckets=4).to_pandas()) == 100
+    assert len(bucketed_anti_join(left, right, "k", num_buckets=4).to_pandas()) == 100
+    early = [r for r in ray_executions if any(n.startswith("limit=") for n in r)]
+    assert not early, ray_executions
 
 
 def test_interval_join_both_paths_match_bruteforce(ray_session):
@@ -2393,49 +2407,6 @@ def test_phrase_search_bruteforce(ray_session):
     assert out["first_pos"].tolist() == [2, 1]
 
 
-def test_warc_roundtrip_and_kg_shapes(ray_session, tmp_path):
-    from datetime import datetime
-
-    from climatemind_ontology_processing_ray.sources.warc import (
-        parse_warc_records,
-        read_warc,
-        write_warc,
-    )
-
-    recs = [
-        {
-            "url": f"https://example.org/p{i}",
-            "warc_ts": datetime(2024, 1, 1 + i, 12, 0, 0),
-            "html": f"<html><body>page {i} causes warming.</body></html>",
-        }
-        for i in range(5)
-    ]
-    plain = str(tmp_path / "a.warc")
-    gzed = str(tmp_path / "b.warc.gz")
-    write_warc(recs[:3], plain)
-    write_warc(recs[3:], gzed, per_record_gzip=True)
-
-    ds = read_warc([plain, gzed])
-    out = ds.to_pandas().sort_values("url").reset_index(drop=True)
-    assert len(out) == 5
-    assert out["url"].tolist() == [r["url"] for r in recs]
-    assert out["warc_ts"].tolist() == [pd.Timestamp(r["warc_ts"]) for r in recs]
-    # HTTP envelope stripped: payload is the raw html bytes
-    assert bytes(out["html"][0]) == recs[0]["html"].encode()
-
-    # truncated trailing record ends the file's parse without raising
-    raw = open(plain, "rb").read()
-    broken = raw + b"WARC/1.0\r\nContent-Length: 9999\r\n\r\nshort"
-    got = parse_warc_records(broken)
-    assert [g["url"] for g in got] == [r["url"] for r in recs[:3]]
-
-    # non-response records are skipped
-    warcinfo = (
-        b"WARC/1.0\r\nWARC-Type: warcinfo\r\nContent-Length: 4\r\n\r\ninfo\r\n\r\n"
-    )
-    assert parse_warc_records(warcinfo + raw) == parse_warc_records(raw)
-
-
 def test_windowed_active_users_bruteforce(ray_session):
     import ray.data
 
@@ -3466,53 +3437,6 @@ def test_ewma_scan_matches_bruteforce(ray_session):
             .sort_values("u")
         )
         assert {int(r.u): int(r.ewma) for r in out.itertuples()} == exp
-
-
-def test_write_graph_html_reproducible_and_parseable(tmp_path, snapshot, golden):
-    """The dependency-free HTML/SVG dashboard stand-in: valid XML, one
-    circle+label per node, one line per edge, reference edge colors
-    (visualize.py:156-215), highlight fill by 'all classes'
-    (visualize.py:77-99), and byte-identical across runs."""
-    import xml.etree.ElementTree as ET
-
-    from climatemind_ontology_processing_ray.graph.enrich import (
-        build_enriched_graph,
-    )
-    from climatemind_ontology_processing_ray.graph.writers import write_graph_html
-
-    art = build_enriched_graph(golden, snapshot)
-    G = art.G
-    p1 = write_graph_html(G, str(tmp_path), "viz1", highlight_class="risk solution")
-    p2 = write_graph_html(G, str(tmp_path), "viz2", highlight_class="risk solution")
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
-    assert b1 == b2  # deterministic layout, byte-reproducible
-
-    root = ET.fromstring(b1)  # valid XHTML
-    ns = {"s": "http://www.w3.org/2000/svg"}
-    svg = root.find(".//s:svg", ns)
-    circles = svg.findall("s:circle", ns)
-    lines = svg.findall("s:line", ns)
-    texts = svg.findall("s:text", ns)
-    assert len(circles) == G.number_of_nodes() == len(texts)
-    assert len(lines) == G.number_of_edges()
-    strokes = {ln.get("stroke") for ln in lines}
-    edge_types = {d["type"] for _, _, d in G.edges(data=True)}
-    if "causes_or_promotes" in edge_types:
-        assert "blue" in strokes
-    if "is_inhibited_or_prevented_or_blocked_or_slowed_by" in edge_types:
-        assert "red" in strokes
-    # highlight fill applied iff the class matches
-    want_blue = {
-        n
-        for n in G.nodes
-        if "risk solution" in (G.nodes[n].get("all classes") or [])
-    }
-    got_blue = {
-        c.find("s:title", ns).text
-        for c in circles
-        if c.get("fill") == "#aed9f6"
-    }
-    assert got_blue == want_blue and (want_blue or True)
 
 
 def test_interval_coverage_matches_bruteforce(ray_session):

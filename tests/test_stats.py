@@ -64,6 +64,18 @@ def test_ks_matches_brute(ray_session, num_bins):
     assert (out.loc[0, "n1"], out.loc[0, "n2"]) == (n1, n2)
 
 
+def test_ks_rejects_nan_values(ray_session):
+    """A NaN value has no bin: the tagger raises, naming the column,
+    instead of casting NaN to int64 and clipping it into bin 0."""
+    from climatemind_ontology_processing_ray.functions.stats import ks_two_sample
+
+    v = np.array([1.0, np.nan, 2.0, 3.0])
+    g1 = np.array([1, 0, 1, 0], dtype=np.int64)
+    df = pd.DataFrame({"v": v, "g1": g1, "g2": 1 - g1})
+    with pytest.raises(Exception, match="column 'v' holds NaN"):
+        ks_two_sample(_mk(df), "v", "g1", "g2", 4)
+
+
 @pytest.mark.parametrize("num_bins", [1, 16, 4096])
 def test_mannwhitney_matches_brute(ray_session, num_bins):
     from climatemind_ontology_processing_ray.functions.stats import mann_whitney
