@@ -12,28 +12,29 @@
       -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
                                             automaton + index: extract,
                                             link and map-side combine
-      => checkpoint ``partials``            (Ray ``write_parquet``)
-      -> driver fold (``fold_partials``)    the partial blocks stream to the
-                                            driver (``iter_batches``), or
-                                            the ``partials`` checkpoint is
-                                            read with pyarrow, and are
-                                            merged into one row per key (no
+      => checkpoint ``partials``            the blocks stream to the driver
+                                            (``iter_batches``), written
+                                            through on the way; a hit
+                                            streams the checkpoint's row
+                                            groups instead
+      -> driver fold (``fold_partials``)    merged into one row per key (no
                                             exchange and no operator after
                                             the front end: the key space is
                                             ontology-sized)
-      => checkpoint ``canonical_edges``     (``pq.write_table``)
+      => checkpoint ``canonical_edges``     (a hit skips everything above)
       -> driver-side back end               ontology-sized (SURVEY §7.0 (c)):
                                             enrichment, adjacency, outputs
                                             (``pipelines/api.py``)
 
 The first three steps fuse into one operator, and the pipeline is at most
-one Ray Data execution: that operator, consumed by the fold or written as
-``partials`` (an in-memory corpus with a checkpoint dir adds one digest
-pass, ``corpus_digest``).  ``run_kg_pipeline`` runs it at call time and
+one Ray Data execution: that operator, consumed by the fold (an in-memory
+or transformed corpus with a checkpoint dir adds one digest pass,
+``corpus_fingerprint``).  Both checkpoints are written on the driver by
+``CheckpointManager.stream``; with or without a checkpoint dir the fold
+consumes the same stream.  ``run_kg_pipeline`` runs it at call time and
 returns the canonical edges as a driver-side table (``KGResult.edges``)
 and as a one-block Dataset (``KGResult.canonical_edges``, the
-reference's step-method surface, SURVEY §2.9).  The two stage boundaries
-are optionally checkpointed via CheckpointManager.  Extracted text is not
+reference's step-method surface, SURVEY §2.9).  Extracted text is not
 checkpointed: no resume reads it, and a rerun recomputes it from the
 pages.
 """
@@ -48,7 +49,8 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data import Dataset
+from ray.data import Dataset, Schema
+from ray.data._internal.logical.operators.read_operator import Read
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
 from ..ontology.schema import OntologySnapshot
@@ -80,7 +82,7 @@ class KGResult:
     checkpoints: CheckpointManager
     snapshot: OntologySnapshot
     config: KGConfig = field(default_factory=KGConfig)
-    # the executed front-end Dataset; None when ``partials`` was a hit
+    # the executed front-end Dataset; None when a checkpoint hit spared it
     front_end: Dataset | None = None
     # (rows in, rows out, seconds) of the driver fold; None when
     # ``canonical_edges`` was a hit
@@ -96,7 +98,7 @@ class KGResult:
         (Ray Data ``Dataset.stats()``) — the observability hook used to tune
         block and batch sizes — and one line for the driver fold."""
         if self.front_end is None:
-            front = "Front end: not run (partials checkpoint hit)"
+            front = "Front end: not run (checkpoint hit)"
         else:
             front = self.front_end.stats()
         if self.fold is None:
@@ -155,9 +157,9 @@ _DIGEST_MOD = 1 << 128
 
 
 def _digest_block(batch: pa.Table) -> pa.Table:
-    """One row: the block's row count and the sum mod 2**128 of each row's
-    128-bit blake2b over its length-prefixed cells.  A sum is blind to row
-    order and to how rows fall into blocks."""
+    """One row: the block's row count, its schema and the sum mod 2**128 of
+    each row's 128-bit blake2b over its length-prefixed cells.  A sum is
+    blind to row order and to how rows fall into blocks."""
     total = 0
     for row in zip(*(c.to_pylist() for c in batch.columns)):
         h = hashlib.blake2b(digest_size=16)
@@ -169,18 +171,39 @@ def _digest_block(batch: pa.Table) -> pa.Table:
             h.update(len(v).to_bytes(8, "little"))
             h.update(v)
         total += int.from_bytes(h.digest(), "little")
-    return pa.table({"rows": [batch.num_rows], "digest": [str(total % _DIGEST_MOD)]})
+    return pa.table(
+        {
+            "rows": [batch.num_rows],
+            "digest": [str(total % _DIGEST_MOD)],
+            "schema": [str(Schema(batch.schema))],
+        }
+    )
 
 
-def corpus_digest(pages: Dataset) -> str:
-    """Row-order-independent digest of every cell of ``pages``: one pass of
-    ``_digest_block`` tasks, combined on the driver."""
+def corpus_fingerprint(pages: Dataset) -> str:
+    """The corpus part of the run key.  A plan that is a file read alone
+    is fingerprinted by its file list plus each file's (size, mtime in ns).
+    Any other plan (in-memory, mapped or limited) by its schema and a
+    row-order-independent digest of every cell: one pass of
+    ``_digest_block`` tasks, combined on the driver (the schema comes from
+    the same pass: ``Dataset.schema()`` would run a mapped plan again)."""
+    if isinstance(pages._logical_plan.dag, Read):
+        stats = []
+        for f in sorted(pages.input_files()):
+            try:
+                st = os.stat(f)
+                stats.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
+            except OSError:
+                stats.append(f)
+        if stats:
+            return "|".join(stats)
     parts = pages.map_batches(
         _digest_block, batch_format="pyarrow", zero_copy_batch=True
     ).take_all()
     rows = sum(r["rows"] for r in parts)
     total = sum(int(r["digest"]) for r in parts) % _DIGEST_MOD
-    return f"rows={rows}|{total:032x}"
+    schema = "|".join(sorted({r["schema"] for r in parts if r["rows"]}))
+    return f"schema={schema}|rows={rows}|{total:032x}"
 
 
 def run_kg_pipeline(
@@ -199,30 +222,10 @@ def run_kg_pipeline(
     # output into the manifest key, so a different corpus, ontology or
     # config under the same run_key recomputes instead of resuming (and,
     # through the publish key, does not return another run's published
-    # outputs).  For file-backed Datasets the corpus fingerprint covers the
-    # file list plus each file's (size, mtime in ns); for in-memory /
-    # transformed Datasets (``input_files()`` empty — from_arrow,
-    # from_pandas, mapped sources) it is a digest of the full content, one
-    # pass over the rows (``corpus_digest``).  ``batch_size`` and
-    # ``num_salts`` do not change the canonical edges and stay out.  Only
-    # computed when checkpointing is on — without it the pages are read
-    # once, by the front end.
+    # outputs).  ``batch_size`` and ``num_salts`` do not change the
+    # canonical edges and stay out.  Only computed when checkpointing is
+    # on — without it the pages are read once, by the front end.
     if cfg.checkpoint_dir:
-        try:
-            files = sorted(pages.input_files())
-        except Exception:
-            files = []
-        if files:
-            stats = []
-            for f in files:
-                try:
-                    st = os.stat(f)
-                    stats.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
-                except OSError:
-                    stats.append(f)
-            corpus_fp = "|".join(stats)
-        else:
-            corpus_fp = f"schema={pages.schema()}|{corpus_digest(pages)}"
         output_cfg = (
             tuple(cfg.keep_langs),
             cfg.min_text_chars,
@@ -230,7 +233,7 @@ def run_kg_pipeline(
             cfg.sources_cap,
         )
         fp = hashlib.sha1(
-            (corpus_fp + snapshot_json + repr(output_cfg)).encode()
+            (corpus_fingerprint(pages) + snapshot_json + repr(output_cfg)).encode()
         ).hexdigest()[:12]
     else:
         fp = "nockpt"
@@ -250,15 +253,20 @@ def run_kg_pipeline(
     )
     fold = None
 
-    def fold_front_end(blocks) -> pa.Table:
-        """``fold_partials`` over ``blocks``, recording its rows in and out
-        and its own seconds (time spent waiting on a block excluded)."""
+    def fold_partials_stage() -> pa.Table:
+        """``fold_partials`` over the ``partials`` stage's blocks (the
+        front end's, or the checkpoint's row groups on a hit), recording
+        its rows in and out and its own seconds (time spent waiting on a
+        block excluded)."""
         nonlocal fold
         rows_in, waited = 0, 0.0
 
         def counted():
             nonlocal rows_in, waited
-            it = iter(blocks)
+            it = ckpt.stream(
+                "partials",
+                lambda: front_end.iter_batches(batch_format="pyarrow", batch_size=None),
+            )
             while True:
                 t0 = time.perf_counter()
                 block = next(it, None)
@@ -273,23 +281,14 @@ def run_kg_pipeline(
         fold = (rows_in, table.num_rows, time.perf_counter() - t0 - waited)
         return table
 
-    if cfg.checkpoint_dir:
-        # partials are only ever read back with pyarrow: no Dataset over them
-        if ckpt.ensure("partials", lambda tmp: front_end.write_parquet(tmp)):
-            front_end = None
-        blocks = lambda: [ckpt.read_table("partials")]
-    else:
-        ckpt.misses.append("partials")
-        blocks = lambda: front_end.iter_batches(batch_format="pyarrow", batch_size=None)
-    edges = edge_table(
-        ckpt.stage_table("canonical_edges", lambda: fold_front_end(blocks()))
-    )
+    # a ``canonical_edges`` hit never opens ``partials``
+    edges = edge_table(ckpt.stage_table("canonical_edges", fold_partials_stage))
     return KGResult(
         edges=edges,
         checkpoints=ckpt,
         snapshot=snap,
         config=cfg,
-        front_end=front_end,
+        front_end=front_end if "partials" in ckpt.misses else None,
         fold=fold,
     )
 

@@ -13,8 +13,8 @@ the map:
    row per occurrence to one row per batch.  All per-page work stays in
    these parallel tasks.
 2. **driver fold** (:func:`_fold`) — the partial blocks stream to the
-   driver (``iter_batches``, or a pyarrow read of the ``partials``
-   checkpoint) and are merged into one accumulator of one row per key.
+   driver (``iter_batches``, or the ``partials`` checkpoint's row
+   groups) and are merged into one accumulator of one row per key.
    Blocks are buffered until they hold as many rows as the accumulator,
    so the work is linear in partial rows and no merge input exceeds
    2 × the distinct keys + one block

@@ -5,25 +5,25 @@ its two phases (``process_new_ontology_file.py:20-26``); this generalizes
 it (north_rule: "resumable from checkpoint with per-partition lineage +
 metrics so a killed run restarts from the last completed stage").
 
-The KG pipeline checkpoints two stages, ``partials`` (the fused front
-end's map-side partials, written by Ray with ``Dataset.write_parquet``:
-:meth:`CheckpointManager.stage`) and ``canonical_edges`` (the driver fold
-of the ``partials`` table, written with ``pq.write_table``:
-:meth:`CheckpointManager.stage_table`); extracted text is recomputed from
-the pages, since no resume reads it.  Layout per stage, the same for both
-writers::
+The KG pipeline checkpoints two stages: ``partials`` (the fused front
+end's map-side partials, as their blocks stream to the driver fold) and
+``canonical_edges`` (the fold's output); extracted text is recomputed from
+the pages, since no resume reads it.  One writer persists both, on the
+driver with pyarrow: :meth:`CheckpointManager.stream` passes a stage's
+blocks on to its consumer and writes each non-empty block as one part
+file.  Layout per stage::
 
     <root>/<stage>/part-*.parquet        (written to <stage>.tmp, then renamed)
     <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
 
 A stage without rows has no part files and a manifest with ``rows: 0``
-and ``files: []``; a hit on it is an empty Dataset (``stage``) or a
-table with no rows and no columns (``stage_table``, ``read_table``).
+and ``files: []``.
 
-A stage whose manifest matches the run key is *not* recomputed — it is
-re-read, with ``ray.data.read_parquet`` (``stage``) or pyarrow on the
-driver (``stage_table``); hit counters are exposed for tests.  The atomic
-tmp-dir rename means a kill mid-write leaves no manifest and the stage
+A stage whose manifest matches the run key is *not* recomputed: ``stream``
+yields its files row group by row group (none for a stage without rows);
+hit counters are exposed for tests.  The manifest is written only once the
+stream is exhausted, then the tmp dir is renamed into place, so a kill (or
+a consumer that stops early) mid-stream leaves no manifest and the stage
 re-runs cleanly.
 
 The last stage, publish (``pipelines/api.py:process_pages``), is keyed on
@@ -43,21 +43,13 @@ import json
 import os
 import shutil
 import time
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
 from .publish import file_md5
-
-
-def _read(stage_dir: str, manifest: dict) -> "ray.data.Dataset":
-    """A completed stage as a Dataset; a stage without rows lists no
-    files and reads as an empty Dataset."""
-    if not manifest["files"]:
-        return ray.data.from_items([])
-    return ray.data.read_parquet(stage_dir)
 
 
 class CheckpointManager:
@@ -73,39 +65,61 @@ class CheckpointManager:
         stage_dir = os.path.join(self.root, stage)
         return stage_dir, stage_dir + ".tmp", os.path.join(stage_dir, "_MANIFEST.json")
 
-    def ensure(self, stage: str, write: Callable[[str], None]) -> bool:
-        """Make the stage complete under the run key and say whether it
-        already was (a hit).  On a miss, ``write(tmp_dir)`` writes its
-        parquet files, the manifest records them, and the tmp dir is
-        renamed into place."""
-        stage_dir, tmp_dir, manifest_path = self._paths(stage)
-        if os.path.exists(manifest_path):
-            try:
-                with open(manifest_path) as f:
-                    manifest = json.load(f)
-                if manifest.get("key") == self.run_key and manifest.get("complete"):
-                    self.hits.append(stage)
-                    return True
-            except (OSError, json.JSONDecodeError):
-                pass
+    def manifest(self, stage: str) -> dict | None:
+        """The stage's manifest, if it has a readable one."""
+        if not self.root:
+            return None
+        try:
+            with open(self._paths(stage)[2]) as f:
+                return json.load(f)
+        except (OSError, json.JSONDecodeError):
+            return None
+
+    def _hit(self, stage: str) -> dict | None:
+        """The stage's manifest if the stage is complete under the run key."""
+        m = self.manifest(stage)
+        return m if m and m.get("key") == self.run_key and m.get("complete") else None
+
+    def stream(
+        self, stage: str, blocks: Callable[[], Iterable[pa.Table]]
+    ) -> Iterator[pa.Table]:
+        """The stage's blocks, lazily: nothing is read, run or recorded
+        until the first one is asked for.  A hit yields the stage's files
+        row group by row group.  A miss yields ``blocks()``, writing each
+        non-empty block as one part file into the tmp dir; once they are
+        exhausted the manifest records the files and the tmp dir is renamed
+        into place.  With no checkpoint root it is ``blocks()``."""
+        if not self.root:
+            self.misses.append(stage)
+            yield from blocks()
+            return
+        stage_dir, tmp_dir, _ = self._paths(stage)
+        manifest = self._hit(stage)
+        if manifest:
+            self.hits.append(stage)
+            for f in manifest["files"]:
+                with pq.ParquetFile(os.path.join(stage_dir, f["path"])) as part:
+                    for i in range(part.num_row_groups):
+                        yield part.read_row_group(i)
+            return
         self.misses.append(stage)
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(stage_dir, ignore_errors=True)
+        os.makedirs(tmp_dir)
         t0 = time.perf_counter()
-        write(tmp_dir)
-        # a stage without rows leaves no file (Ray not even the
-        # directory): it is then recorded with no files
-        os.makedirs(tmp_dir, exist_ok=True)
+        files = []  # per-partition lineage record
+        for block in blocks():
+            if block.num_rows:
+                name = f"part-{len(files):05d}.parquet"
+                path = os.path.join(tmp_dir, name)
+                pq.write_table(block, path)
+                files.append({"path": name, "rows": block.num_rows, "md5": file_md5(path)})
+                # typed as a hit reads it (Parquet names a list's item
+                # ``element``), so a warm run sees the cold run's tables
+                block = block.cast(pq.read_schema(path))
+            yield block
         elapsed = time.perf_counter() - t0
-        files = []
-        total = 0
-        for name in sorted(os.listdir(tmp_dir)):
-            if not name.endswith(".parquet"):
-                continue
-            fpath = os.path.join(tmp_dir, name)
-            n = pq.read_metadata(fpath).num_rows
-            files.append({"path": name, "rows": n, "md5": file_md5(fpath)})
-            total += n
+        total = sum(f["rows"] for f in files)
         manifest = {
             "stage": stage,
             "key": self.run_key,
@@ -113,63 +127,37 @@ class CheckpointManager:
             "rows": total,
             "elapsed_sec": round(elapsed, 3),
             "rows_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
-            "files": files,  # per-partition lineage record
+            "files": files,
         }
         with open(os.path.join(tmp_dir, "_MANIFEST.json"), "w") as f:
             json.dump(manifest, f, indent=1)
         os.rename(tmp_dir, stage_dir)  # atomic finalize
-        return False
 
     def stage(
         self, stage: str, compute: Callable[[], "ray.data.Dataset"]
     ) -> "ray.data.Dataset":
-        """Return the stage's Dataset, from checkpoint if complete; a miss
-        runs ``compute()`` as one ``write_parquet``.
-
-        With no checkpoint root the stage stays fully lazy (pure streaming
-        execution, no materialization)."""
+        """The stage as a Dataset read from its checkpoint with
+        ``ray.data.read_parquet`` (no files: an empty Dataset); a miss first
+        streams ``compute()``'s blocks through :meth:`stream`'s writer.
+        With no checkpoint root it is ``compute()``, fully lazy."""
         if not self.root:
             self.misses.append(stage)
             return compute()
-        self.ensure(stage, lambda tmp: compute().write_parquet(tmp))
-        return _read(self._paths(stage)[0], self.manifest(stage))
+        if self._hit(stage):
+            self.hits.append(stage)
+        else:
+            blocks = lambda: compute().iter_batches(batch_format="pyarrow", batch_size=None)
+            for _ in self.stream(stage, blocks):
+                pass
+        if not self.manifest(stage)["files"]:
+            return ray.data.from_items([])
+        return ray.data.read_parquet(self._paths(stage)[0])
 
     def stage_table(self, stage: str, compute: Callable[[], pa.Table]) -> pa.Table:
-        """The driver-side counterpart of :meth:`stage`: ``compute()``
-        returns a ``pa.Table``, which a miss writes with
-        ``pq.write_table`` under the same tmp-dir + rename protocol and
-        manifest.  Hit or miss, the stage comes back as :meth:`read_table`
-        reads it, so a warm run sees the same table as the cold one.  With
-        no checkpoint root it is ``compute()``."""
-        if not self.root:
-            self.misses.append(stage)
-            return compute()
-
-        def write(tmp_dir: str) -> None:
-            table = compute()
-            os.makedirs(tmp_dir)
-            if table.num_rows:
-                pq.write_table(table, os.path.join(tmp_dir, "part-0.parquet"))
-
-        self.ensure(stage, write)
-        return self.read_table(stage)
-
-    def manifest(self, stage: str) -> dict | None:
-        if not self.root:
-            return None
-        _, _, manifest_path = self._paths(stage)
-        if not os.path.exists(manifest_path):
-            return None
-        with open(manifest_path) as f:
-            return json.load(f)
-
-    def read_table(self, stage: str) -> pa.Table:
-        """A completed stage's rows, read on the driver with pyarrow (no
-        Ray job): the files its manifest lists (none: a table with no
-        rows and no columns)."""
-        stage_dir, _, _ = self._paths(stage)
-        files = [os.path.join(stage_dir, f["path"]) for f in self.manifest(stage)["files"]]
-        return pq.read_table(files)
+        """:meth:`stream` of the one table ``compute()`` returns, as one
+        table (a hit on a stage without rows: no rows and no columns)."""
+        tables = list(self.stream(stage, lambda: [compute()]))
+        return pa.concat_tables(tables) if tables else pa.table({})
 
     def lineage(self) -> "list[dict]":
         """Flat per-partition lineage/metrics table across all completed

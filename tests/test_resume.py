@@ -8,7 +8,9 @@ import pytest
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig, run_kg_pipeline
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
 
-STAGES = ["partials", "canonical_edges"]
+# in the order a run opens them: ``partials`` is opened only by the fold
+# that a ``canonical_edges`` miss runs
+STAGES = ["canonical_edges", "partials"]
 
 
 def _run(table, snapshot, ckpt_dir):
@@ -42,7 +44,8 @@ def test_fresh_run_then_full_resume(ray_session, snapshot, table, tmp_path_facto
     assert all("rows" in f for f in m["files"])
 
     out2, mgr2 = _run(table, snapshot, ckpt)
-    assert mgr2.hits == STAGES and mgr2.misses == []
+    # the ``canonical_edges`` hit never opens ``partials``
+    assert mgr2.hits == ["canonical_edges"] and mgr2.misses == []
     assert out1 == out2  # byte-equivalent results without recompute
 
     # flat per-partition lineage/metrics table across all stages
@@ -154,7 +157,7 @@ def test_in_memory_corpus_fingerprint_covers_every_row(
     _run(table, snapshot, ckpt)
     permuted = table.take(list(range(table.num_rows))[::-1])
     _, mgr = _run(permuted, snapshot, ckpt)
-    assert mgr.hits == STAGES
+    assert mgr.hits == ["canonical_edges"]
     other_rows, _ = generate_pages(snapshot, 200, seed=22)
     late = pa.concat_tables([table.slice(0, 150), other_rows.slice(150, 50)])
     assert late.slice(0, 64).equals(table.slice(0, 64))
@@ -527,10 +530,10 @@ def test_killed_publish_leaves_one_complete_set(
 def test_cold_publish_writes_only_the_checkpoints(
     ray_session, snapshot, table, tmp_path, monkeypatch
 ):
-    """A cold checkpointed publish without mentions writes one Dataset,
-    the ``partials`` checkpoint, and runs no Ray Data job after it: the
-    fold, the ``canonical_edges`` checkpoint and the back end work on
-    driver-side tables.  The warm run writes no Dataset."""
+    """A checkpointed publish without mentions writes no Dataset, cold or
+    warm: both checkpoints are written on the driver as the front end's
+    blocks stream to the fold, and the fold, the ``canonical_edges``
+    checkpoint and the back end work on driver-side tables."""
     import ray.data
 
     calls = []
@@ -548,10 +551,10 @@ def test_cold_publish_writes_only_the_checkpoints(
     monkeypatch.setattr(ray.data.Dataset, "to_pandas", no_collect)
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
     _publish(table, snapshot, out, ckpt)
-    assert calls == ["partials.tmp"]
-    calls.clear()
+    assert calls == []
     _publish(table, snapshot, out, ckpt)
     assert calls == []
+    assert sorted(os.listdir(ckpt)) == sorted(STAGES)
 
 
 def test_uncheckpointed_publish_runs_one_execution(
@@ -568,9 +571,9 @@ def test_checkpointed_publish_runs_one_execution(
     ray_session, snapshot, table, tmp_path, ray_executions
 ):
     """Plan guard: over a Parquet corpus, a cold checkpointed
-    ``process_pages`` runs one Ray Data execution, the front end written
-    as ``partials``; the fold reads it back with pyarrow.  The warm run
-    runs none."""
+    ``process_pages`` runs one Ray Data execution, the front end streamed
+    to the fold and written through as ``partials``.  The warm run runs
+    none."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -595,52 +598,210 @@ def _file_bytes(out: str) -> dict:
     return got
 
 
+def _managers(monkeypatch) -> list:
+    """Every ``CheckpointManager`` built while the patch holds."""
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    made = []
+    real_init = checkpoint.CheckpointManager.__init__
+
+    def init(self, *a, **k):
+        real_init(self, *a, **k)
+        made.append(self)
+
+    monkeypatch.setattr(checkpoint.CheckpointManager, "__init__", init)
+    return made
+
+
+def _kill_stage_write(monkeypatch, stage: str, after: int) -> None:
+    """Kill the checkpoint writer right after it wrote the ``after``-th
+    part file of ``stage``, the last one half done.  ``partials`` then sees
+    its blocks only once the front end has run to completion, so the kill
+    leaves no Ray task in flight."""
+    import pyarrow.parquet as pq
+
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    real_write, real_stream = pq.write_table, checkpoint.CheckpointManager.stream
+    written = []
+
+    def killed_write(tbl, where, *a, **k):
+        if os.path.basename(os.path.dirname(where)) != stage + ".tmp":
+            return real_write(tbl, where, *a, **k)
+        written.append(where)
+        if len(written) < after:
+            return real_write(tbl, where, *a, **k)
+        real_write(tbl.slice(0, tbl.num_rows // 2), where, *a, **k)
+        raise Killed(f"{stage} write {after}")
+
+    def stream(self, name, blocks):
+        drained = (lambda: list(blocks())) if name == "partials" else blocks
+        return real_stream(self, name, drained)
+
+    monkeypatch.setattr(checkpoint.pq, "write_table", killed_write)
+    monkeypatch.setattr(checkpoint.CheckpointManager, "stream", stream)
+
+
 def test_killed_canonical_edges_write_resumes_from_partials(
     ray_session, snapshot, table, tmp_path, monkeypatch
 ):
-    """A kill inside the pyarrow write of the ``canonical_edges`` stage
-    (its part file half done) leaves no ``canonical_edges`` manifest and
-    the ``partials`` checkpoint untouched; the next run hits ``partials``,
-    recomputes only ``canonical_edges`` and publishes the same bytes as a
-    fresh run."""
-    import pyarrow.parquet as pq
-
+    """A kill inside the write of the ``canonical_edges`` stage (its part
+    file half done) leaves no ``canonical_edges`` manifest and the
+    ``partials`` checkpoint complete; the next run hits ``partials``,
+    leaves it untouched, recomputes only ``canonical_edges`` and publishes
+    the same bytes as a fresh run."""
     from climatemind_ontology_processing_ray.state import checkpoint
 
     fresh = str(tmp_path / "fresh")
     _publish(table, snapshot, fresh, str(tmp_path / "fresh_ckpt"))
 
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
-    real_write = pq.write_table
-
-    def killed_write(tbl, where, *a, **k):
-        real_write(tbl.slice(0, tbl.num_rows // 2), where, *a, **k)
-        raise Killed("canonical_edges write")
-
-    monkeypatch.setattr(checkpoint.pq, "write_table", killed_write)
+    _kill_stage_write(monkeypatch, "canonical_edges", after=1)
     with pytest.raises(Killed):
         _publish(table, snapshot, out, ckpt)
     monkeypatch.undo()
 
     assert not os.path.exists(os.path.join(ckpt, "canonical_edges", "_MANIFEST.json"))
     partials = _identity(os.path.join(ckpt, "partials"))
-    mgr = checkpoint.CheckpointManager(ckpt)
-    manifest = mgr.manifest("partials")
-    assert manifest["complete"] and manifest["rows"] == mgr.read_table("partials").num_rows
+    manifest = checkpoint.CheckpointManager(ckpt).manifest("partials")
+    assert manifest["complete"] and manifest["files"]
 
-    ensured = []
-    real_ensure = checkpoint.CheckpointManager.ensure
-
-    def ensure(self, stage, write):
-        hit = real_ensure(self, stage, write)
-        ensured.append((stage, hit))
-        return hit
-
-    monkeypatch.setattr(checkpoint.CheckpointManager, "ensure", ensure)
+    managers = _managers(monkeypatch)
     _publish(table, snapshot, out, ckpt)
-    assert ensured == [("partials", True), ("canonical_edges", False)]
+    assert (managers[-1].hits, managers[-1].misses) == (["partials"], ["canonical_edges"])
     assert _identity(os.path.join(ckpt, "partials")) == partials
     assert _file_bytes(out) == _file_bytes(fresh)
+
+
+def test_killed_partials_write_recomputes(
+    ray_session, snapshot, table, tmp_path, monkeypatch
+):
+    """A kill after the writer put k of the n ``partials`` blocks on disk
+    leaves the k part files in ``partials.tmp`` and no manifest; the next
+    run recomputes ``partials`` (and ``canonical_edges``) and publishes the
+    same bytes as a fresh run."""
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    fresh, fresh_ckpt = str(tmp_path / "fresh"), str(tmp_path / "fresh_ckpt")
+    _publish(table, snapshot, fresh, fresh_ckpt)
+    n = len(checkpoint.CheckpointManager(fresh_ckpt).manifest("partials")["files"])
+    assert n >= 2
+    k = n // 2
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    _kill_stage_write(monkeypatch, "partials", after=k)
+    with pytest.raises(Killed):
+        _publish(table, snapshot, out, ckpt)
+    monkeypatch.undo()
+
+    assert not os.path.exists(os.path.join(ckpt, "partials", "_MANIFEST.json"))
+    assert len(os.listdir(os.path.join(ckpt, "partials.tmp"))) == k
+    assert not os.path.exists(os.path.join(ckpt, "canonical_edges"))
+
+    managers = _managers(monkeypatch)
+    _publish(table, snapshot, out, ckpt)
+    assert (managers[-1].hits, managers[-1].misses) == ([], STAGES)
+    assert sorted(os.listdir(ckpt)) == sorted(STAGES)
+    assert len(checkpoint.CheckpointManager(ckpt).manifest("partials")["files"]) == n
+    assert _file_bytes(out) == _file_bytes(fresh)
+
+
+def test_resumed_fold_is_bounded(ray_session, snapshot, table, tmp_path, monkeypatch):
+    """A resume from ``partials`` folds the checkpoint's row groups as they
+    stream in: no merge input exceeds 2 x the distinct keys + the largest
+    part file, and the edges equal the cold run's."""
+    import shutil
+
+    import pyarrow as pa
+    import ray.data
+
+    from climatemind_ontology_processing_ray.stages import canonicalize
+
+    pages = pa.concat_tables([table] * 8)  # many blocks over one key space
+    ckpt = str(tmp_path / "ckpt")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run")
+    cold = run_kg_pipeline(ray.data.from_arrow(pages).repartition(16), snapshot, cfg)
+    files = cold.checkpoints.manifest("partials")["files"]
+    distinct, largest = cold.edges.num_rows, max(f["rows"] for f in files)
+    assert sum(f["rows"] for f in files) > 2 * distinct + largest
+
+    shutil.rmtree(os.path.join(ckpt, "canonical_edges"))
+    merges = []
+    real = canonicalize._merge_arrow
+
+    def spy(tbl, keys, sources_cap):
+        merges.append(tbl.num_rows)
+        return real(tbl, keys, sources_cap)
+
+    monkeypatch.setattr(canonicalize, "_merge_arrow", spy)
+    warm = run_kg_pipeline(ray.data.from_arrow(pages).repartition(16), snapshot, cfg)
+    assert warm.checkpoints.hits == ["partials"]
+    assert len(merges) > 1
+    assert max(merges) <= 2 * distinct + largest, (merges, distinct, largest)
+    assert warm.edges.equals(cold.edges)
+
+
+def test_transformed_parquet_read_does_not_reuse_plain_read_checkpoints(
+    ray_session, snapshot, table, tmp_path
+):
+    """Only a plan that is the file read alone is fingerprinted by its
+    files: a limited read and then the full read of the same file, into
+    one checkpoint dir, do not share checkpoints, and the full read
+    returns the edges of an uncheckpointed run."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(table, path)
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    limited = run_kg_pipeline(ray.data.read_parquet(path).limit(50), snapshot, cfg)
+    full = run_kg_pipeline(ray.data.read_parquet(path), snapshot, cfg)
+    assert full.checkpoints.hits == [] and full.checkpoints.misses == STAGES
+    plain = run_kg_pipeline(ray.data.read_parquet(path), snapshot, KGConfig(batch_size=64))
+    assert full.edges.equals(plain.edges)
+    assert limited.edges.num_rows < full.edges.num_rows
+
+
+def test_mapped_corpus_fingerprint_runs_no_schema_execution(
+    ray_session, snapshot, table, ray_executions, tmp_path
+):
+    """A cold checkpointed run over a mapped corpus runs two Ray Data
+    executions, the digest pass and the front end: the fingerprint takes
+    the schema from the digest pass, not from ``Dataset.schema()``, which
+    would run the mapped plan under ``limit=1``."""
+    import ray.data
+
+    pages = ray.data.from_arrow(table).map_batches(lambda b: b, batch_format="pyarrow")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    run_kg_pipeline(pages, snapshot, cfg)
+    assert len(ray_executions) == 2, ray_executions
+    assert not any("limit=1" in name for run in ray_executions for name in run), ray_executions
+
+
+def test_stage_dataset_cold_then_warm(ray_session, tmp_path):
+    """``CheckpointManager.stage``: a cold run writes the stage and its
+    manifest, a warm run hits without computing, and both read back the
+    input's rows."""
+    import pyarrow as pa
+    import ray.data
+
+    from climatemind_ontology_processing_ray.state.checkpoint import CheckpointManager
+
+    rows = pa.table({"k": list(range(300)), "v": [str(i) for i in range(300)]})
+    ckpt = str(tmp_path / "ckpt")
+    cold = CheckpointManager(ckpt, "key")
+    got = cold.stage("t", lambda: ray.data.from_arrow(rows).repartition(3))
+    assert cold.misses == ["t"] and os.path.exists(os.path.join(ckpt, "t", "_MANIFEST.json"))
+    assert cold.manifest("t")["rows"] == rows.num_rows
+    assert sorted(got.take_all(), key=lambda r: r["k"]) == rows.to_pylist()
+
+    def no_compute():
+        raise AssertionError("a hit computed the stage")
+
+    warm = CheckpointManager(ckpt, "key")
+    got = warm.stage("t", no_compute)
+    assert warm.hits == ["t"] and warm.misses == []
+    assert sorted(got.take_all(), key=lambda r: r["k"]) == rows.to_pylist()
 
 
 @pytest.mark.parametrize("case", ["no_english_page", "link_threshold_above_1"])
@@ -650,7 +811,7 @@ def test_empty_stages_checkpoint_and_publish(
     """A run whose stages have no rows (no English page, or a link
     threshold no match reaches) checkpoints them as zero-row stages: the
     cold and the warm ``run_kg_pipeline`` and ``process_pages`` complete
-    with no edges, and the warm runs hit every stage."""
+    with no edges, and the warm runs hit ``canonical_edges``."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data
@@ -674,8 +835,10 @@ def test_empty_stages_checkpoint_and_publish(
     for warm in (False, True):
         res = run_kg_pipeline(pages(), snapshot, cfg)
         assert res.canonical_edges.take_all() == []
-        assert res.checkpoints.hits == (STAGES if warm else [])
-        assert res.checkpoints.read_table("canonical_edges").num_rows == 0
+        assert res.checkpoints.hits == (["canonical_edges"] if warm else [])
+        for stage in STAGES:
+            manifest = res.checkpoints.manifest(stage)
+            assert manifest["rows"] == 0 and manifest["files"] == []
         art, paths = process_pages(pages(), out, snapshot=snapshot, cfg=cfg)
         assert art.G.number_of_edges() == 0
         for name in ("canonical_edges", "adjacency"):
