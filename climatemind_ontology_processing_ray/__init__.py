@@ -6,8 +6,11 @@ ClimateMind/climatemind-ontology-processing (reference at /root/reference,
 cited by file:line throughout) as an idiomatic Ray Data pipeline:
 
     pages (url, warc_ts, html, text, lang) Parquet
-      -> map_batches(extract_pages_batch) [stateless, zero-copy Arrow]
-      -> lang/quality filter              [vectorized predicate]
+      -> lang filter                      [vectorized predicate on the raw
+                                           pages: other languages are never
+                                           extracted]
+      -> map_batches(extract_pages_batch) [stateless, zero-copy Arrow; then
+                                           the quality filter, when set]
       -> map_batches(PageToTriplePartials)
                                           [stateless tasks, one operator with
                                            the two above; automaton + ontology

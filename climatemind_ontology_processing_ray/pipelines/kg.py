@@ -60,6 +60,12 @@ from ..state.checkpoint import CheckpointManager
 from .. import stages as S
 
 
+# the checkpoint format's tag, the first part of every run key: a new tag
+# makes every checkpoint written under an older one miss (v2: parts keep
+# Arrow's ``item`` list naming)
+RUN_KEY = "v2"
+
+
 @dataclass
 class KGConfig:
     batch_size: int = 1024
@@ -68,7 +74,6 @@ class KGConfig:
     sources_cap: int = 8
     keep_langs: tuple[str, ...] = ("en",)
     checkpoint_dir: str | None = None
-    run_key: str = "v1"
     # quality gate: pages whose extracted text is shorter are dropped with
     # the language filter (0 disables)
     min_text_chars: int = 0
@@ -220,11 +225,11 @@ def run_kg_pipeline(
     # guard against stale-checkpoint reuse: fold a fingerprint of the input
     # corpus, the ontology snapshot and the config fields that change the
     # output into the manifest key, so a different corpus, ontology or
-    # config under the same run_key recomputes instead of resuming (and,
-    # through the publish key, does not return another run's published
-    # outputs).  ``batch_size`` and ``num_salts`` do not change the
-    # canonical edges and stay out.  Only computed when checkpointing is
-    # on — without it the pages are read once, by the front end.
+    # config recomputes instead of resuming (and, through the publish key,
+    # does not return another run's published outputs).  ``batch_size``
+    # and ``num_salts`` do not change the canonical edges and stay out.
+    # Only computed when checkpointing is on — without it the pages are
+    # read once, by the front end.
     if cfg.checkpoint_dir:
         output_cfg = (
             tuple(cfg.keep_langs),
@@ -237,7 +242,7 @@ def run_kg_pipeline(
         ).hexdigest()[:12]
     else:
         fp = "nockpt"
-    ckpt = CheckpointManager(cfg.checkpoint_dir, f"{cfg.run_key}:{fp}")
+    ckpt = CheckpointManager(cfg.checkpoint_dir, f"{RUN_KEY}:{fp}")
 
     # stateless tasks with per-worker cached state: fuses with the
     # read/extract/filter chain into ONE operator (see fused.py)

@@ -14,22 +14,24 @@ the map:
    these parallel tasks.
 2. **driver fold** (:func:`_fold`) — the partial blocks stream to the
    driver (``iter_batches``, or the ``partials`` checkpoint's row
-   groups) and are merged into one accumulator of one row per key.
-   Blocks are buffered until they hold as many rows as the accumulator,
-   so the work is linear in partial rows and no merge input exceeds
-   2 × the distinct keys + one block
+   groups) and are merged (:func:`_merge_arrow`) into one accumulator of
+   one row per key.  Blocks are buffered until they hold as many rows as
+   the accumulator, so the work is linear in partial rows and no merge
+   input exceeds 2 × the distinct keys + one block
    (``tests/test_canonicalize.py::test_hot_key_reducer_rows_bounded``).
 
 :func:`fold_partials` is the pure ``Iterable[pa.Table] -> pa.Table``
 kernel; ``canonicalize_partials`` / ``canonicalize_triples`` /
-``canonicalize_mentions`` are thin wiring around it that return the result
-as a one-block, materialized Dataset (:func:`as_dataset`).  Every merge is associative
-(support and counts are sums; sources keep the ``sources_cap`` smallest
-distinct urls, a top-k monoid), so the output rows do not depend on block
-boundaries or arrival order; :func:`_merge_arrow` emits its rows sorted by
-key (the mentions fold is sorted by ``surface_norm``), so neither does
-their order.  The triple partials still carry a ``salt`` column (a hash of
-the first source url); nothing here reads it.
+``canonicalize_mentions`` are thin wiring around it that return the
+result as a one-block, materialized Dataset (:func:`as_dataset`).  Every
+merge is associative (support and counts are sums; sources keep the
+``sources_cap`` smallest distinct urls, a top-k monoid), so the output
+rows do not depend on block boundaries or arrival order;
+:func:`_merge_arrow` emits its rows sorted by key (the mentions fold is
+sorted by ``surface_norm``), so neither does their order.  Every grouping
+here is pyarrow's hash ``group_by``: the map-side combine, the merge and
+the mention counts.  The triple partials still carry a ``salt`` column (a
+hash of the first source url); nothing here reads it.
 """
 
 from __future__ import annotations
@@ -119,57 +121,32 @@ def _empty_canonical(keys: list[str]) -> pa.Table:
     return pa.table(cols)
 
 
-def _group_codes(col: pa.Array) -> np.ndarray:
-    """Order-preserving integer codes for one key column: for strings, the
-    rank of each dictionary value (pyarrow hashes each distinct value ONCE
-    and sorts only the distinct values), raw values for ints — so
-    multi-key grouping below is pure numpy over ints, with no per-row
-    string compares, and groups come out in key order."""
-    if pa.types.is_integer(col.type):
-        return col.to_numpy(zero_copy_only=False).astype(np.int64)
-    enc = pc.dictionary_encode(col)
-    rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy().astype(np.int64)
-    return rank[enc.indices.to_numpy()]
-
-
 def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
-    """Arrow-native in-partition merge (support sum + sources top-k): no
-    Arrow->pandas->Arrow copies, no object-dtype strings.  Grouping =
-    per-column ranked dictionary codes + one numpy lexsort (pyarrow's hash
-    aggregate has no list<string> gather kernel), so the output rows are
-    sorted by ``keys``; support merges with an exact int64 reduceat;
-    sources merge via the vectorized :func:`_topk_sources`."""
+    """Arrow-native in-partition merge, sorted by ``keys``: one hash
+    ``group_by`` sums ``support`` and lists each group's row indices
+    (pyarrow 16's ``hash_list`` has no ``list<string>`` kernel), and those
+    rows' ``sources`` merge via the vectorized :func:`_topk_sources`.
+    Output columns: ``keys``, support (int64), sources (list<string>); a
+    typed empty for an empty table or one missing a column."""
     if tbl.num_rows == 0 or (
         {"support", "sources", *keys} - set(tbl.column_names)
     ):
         return _empty_canonical(keys)
-    tbl = tbl.select(keys + ["support", "sources"])
-    n = tbl.num_rows
-    codes = [_group_codes(tbl.column(k).combine_chunks()) for k in keys]
-    order = np.lexsort(codes[::-1])
-    new = np.zeros(n, dtype=bool)
-    new[0] = True
-    for c in codes:
-        cs = c[order]
-        new[1:] |= cs[1:] != cs[:-1]
-    gid_sorted = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    ngroups = len(starts)
-    support = np.add.reduceat(
-        tbl.column("support").to_numpy(zero_copy_only=False)[order], starts
-    ).astype(np.int64)
-    gid_of_row = np.empty(n, dtype=np.int64)
-    gid_of_row[order] = gid_sorted
-    src = tbl.column("sources").combine_chunks()
-    urls = pc.list_flatten(src)
-    parent = pc.list_parent_indices(src).to_numpy()
-    g_of_url = (
-        gid_of_row[parent] if len(parent) else np.zeros(0, dtype=np.int64)
+    groups = (
+        tbl.select(keys + ["support"])
+        .append_column("row", pa.array(np.arange(tbl.num_rows), pa.int64()))
+        .group_by(keys, use_threads=False)
+        .aggregate([("support", "sum"), ("row", "list")])
+        .sort_by([(k, "ascending") for k in keys])
     )
-    rep = pa.array(order[starts], pa.int64())  # one representative row/group
-    out = {k: tbl.column(k).take(rep) for k in keys}
-    out["support"] = pa.array(support, pa.int64())
-    out["sources"] = _topk_sources(g_of_url, urls, ngroups, sources_cap)
+    rows = groups.column("row_list").combine_chunks()
+    g_of_row = pc.list_parent_indices(rows).to_numpy()
+    src = tbl.column("sources").take(pc.list_flatten(rows)).combine_chunks()
+    urls = pc.list_flatten(src)
+    g_of_url = g_of_row[pc.list_parent_indices(src).to_numpy()]
+    out = {k: groups.column(k) for k in keys}
+    out["support"] = groups.column("support_sum")
+    out["sources"] = _topk_sources(g_of_url, urls, groups.num_rows, sources_cap)
     return pa.table(out)
 
 

@@ -7,10 +7,16 @@ The reference links by exact label equality (``onto.search_one``,
 (``normalize_surface``, the rule the snapshot's surface index is keyed
 on), exact-match against that index (score 1.0), fall back to a
 de-pluralized match (score 0.9), otherwise abstain.  Rows where either
-endpoint abstains or scores below the threshold are dropped (precision
-guard: unknown-entity causal sentences must not become triples).  IRIs
-are not carried here: the node table (``nodes/``) takes them from the
-snapshot.
+endpoint abstains or scores below the threshold are dropped.
+
+The guard against unknown-entity causal sentences is the extractor's
+surface pattern, not this stage: the pattern matches only the snapshot's
+surface forms, the forms the index is built from, so on the engine path
+every surface is an exact hit and no row is dropped here
+(``tests/test_extract.py::test_every_pattern_form_is_an_exact_link``).
+The fallback and the threshold only act on surfaces from another
+extractor.  IRIs are not carried here: the node table (``nodes/``) takes
+them from the snapshot.
 """
 
 from __future__ import annotations

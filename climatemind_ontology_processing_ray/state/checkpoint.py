@@ -17,7 +17,10 @@ file.  Layout per stage::
     <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
 
 A stage without rows has no part files and a manifest with ``rows: 0``
-and ``files: []``.
+and ``files: []``.  Parts keep Arrow's list naming (a list's item field is
+``item``, not Parquet's ``element``), so a part reads back as the type it
+was written with: a hit yields the tables a miss yielded, and a run
+publishes the same bytes with a checkpoint dir as without one.
 
 A stage whose manifest matches the run key is *not* recomputed: ``stream``
 yields its files row group by row group (none for a stage without rows);
@@ -26,9 +29,10 @@ stream is exhausted, then the tmp dir is renamed into place, so a kill (or
 a consumer that stops early) mid-stream leaves no manifest and the stage
 re-runs cleanly.
 
-The last stage, publish (``pipelines/api.py:process_pages``), is keyed on
-the ``canonical_edges`` manifest's run key (which folds in the corpus,
-ontology and config fingerprints), a digest of the edge table's cells,
+The run key (``pipelines/kg.py``) is a format tag, ``RUN_KEY``, and a
+fingerprint of the corpus, the ontology and the output config.  The last
+stage, publish (``pipelines/api.py:process_pages``), is keyed on the
+``canonical_edges`` manifest's run key, a digest of the edge table's cells,
 ``emit_mentions`` and the package version.  It builds every output from
 the driver-side table that ``stage_table("canonical_edges", ...)``
 returned (pyarrow, no Ray job).  Its outputs are staged and committed
@@ -112,11 +116,8 @@ class CheckpointManager:
             if block.num_rows:
                 name = f"part-{len(files):05d}.parquet"
                 path = os.path.join(tmp_dir, name)
-                pq.write_table(block, path)
+                pq.write_table(block, path, use_compliant_nested_type=False)
                 files.append({"path": name, "rows": block.num_rows, "md5": file_md5(path)})
-                # typed as a hit reads it (Parquet names a list's item
-                # ``element``), so a warm run sees the cold run's tables
-                block = block.cast(pq.read_schema(path))
             yield block
         elapsed = time.perf_counter() - t0
         total = sum(f["rows"] for f in files)

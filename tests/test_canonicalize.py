@@ -1,6 +1,7 @@
-"""The canonicalization reductions (stages/canonicalize.py): the hot-key
-and state bound of the driver fold, output invariance under block
-boundaries, incremental merge, and plans with no Sort or Repartition."""
+"""The canonicalization reductions (stages/canonicalize.py): the merge
+kernel against a pure-Python oracle, the hot-key and state bound of the
+driver fold, output invariance under block boundaries, incremental merge,
+and plans with no Sort or Repartition."""
 
 import numpy as np
 import pyarrow as pa
@@ -9,6 +10,7 @@ import pytest
 
 from climatemind_ontology_processing_ray.stages.canonicalize import (
     TRIPLE_KEY,
+    _merge_arrow,
     canonicalize_mentions,
     canonicalize_partials,
     canonicalize_triples,
@@ -198,3 +200,73 @@ def test_output_order_is_independent_of_block_order(ray_session, linked_blocks):
     assert ab.equals(ba)
     keys = list(zip(*(ab.column(c).to_pylist() for c in TRIPLE_KEY)))
     assert keys == sorted(keys)
+
+
+def _merge_oracle(rows: list[dict], keys: list[str], cap: int) -> pa.Table:
+    """``_merge_arrow`` in plain Python: per key, the support sum and the
+    ``cap`` smallest distinct urls in ascending order, rows sorted by key."""
+    groups: dict[tuple, tuple[int, set]] = {}
+    for r in rows:
+        support, urls = groups.get(tuple(r[k] for k in keys), (0, set()))
+        groups[tuple(r[k] for k in keys)] = (support + r["support"], urls | set(r["sources"]))
+    out = sorted(groups.items())
+    cols = {
+        k: pa.array([key[i] for key, _ in out], pa.int32() if k == "salt" else pa.string())
+        for i, k in enumerate(keys)
+    }
+    cols["support"] = pa.array([support for _, (support, _) in out], pa.int64())
+    cols["sources"] = pa.array(
+        [sorted(urls)[:cap] for _, (_, urls) in out], pa.list_(pa.string())
+    )
+    return pa.table(cols)
+
+
+def _random_partials(rng, n: int, element_lists: bool) -> pa.Table:
+    """``n`` partial rows over a few keys (empty and non-ASCII strings, an
+    int32 salt), 0-3 urls per row, every column in two chunks; the sources
+    list's item field is named ``element`` (as Parquet names it) or
+    ``item``."""
+    words = ["", "a", "b", "é", "ß", "bé", "climate change", "Z"]
+    split = int(rng.integers(0, n + 1))
+
+    def col(values, typ):
+        return pa.chunked_array([pa.array(values[:split], typ), pa.array(values[split:], typ)])
+
+    item = pa.field("element" if element_lists else "item", pa.string())
+    return pa.table(
+        {
+            "subject": col([str(w) for w in rng.choice(words, n)], pa.string()),
+            "object": col([str(w) for w in rng.choice(words[:4], n)], pa.string()),
+            "predicate": col([str(w) for w in rng.choice(["causes", "is_a"], n)], pa.string()),
+            "salt": col([int(x) for x in rng.integers(-3, 4, n)], pa.int32()),
+            "support": col([int(x) for x in rng.integers(0, 5, n)], pa.int64()),
+            "sources": col(
+                [
+                    [f"https://u{int(u)}.example" for u in rng.integers(0, 12, int(rng.integers(0, 4)))]
+                    for _ in range(n)
+                ],
+                pa.list_(item),
+            ),
+        }
+    )
+
+
+def test_merge_arrow_matches_python_oracle():
+    """``_merge_arrow`` equals the oracle, schema included (``sources`` is
+    ``list<item: string>`` whatever the input's item name), on random
+    tables with and without the int32 salt key and for caps 1, 3 and 8; a
+    table without rows or missing a column gives the typed empty."""
+    rng = np.random.default_rng(11)
+    for i in range(240):
+        tbl = _random_partials(rng, int(rng.integers(0, 301)), element_lists=bool(i % 2))
+        keys = TRIPLE_KEY + (["salt"] if i % 3 == 0 else [])
+        cap = (1, 3, 8)[i % 3]
+        want = _merge_oracle(tbl.to_pylist(), keys, cap)
+        got = _merge_arrow(tbl, keys, cap)
+        assert got.schema.equals(want.schema), (i, got.schema)
+        assert got.equals(want), i
+    tbl = _random_partials(rng, 50, element_lists=False)
+    for keys in (TRIPLE_KEY, TRIPLE_KEY + ["salt"]):
+        assert _merge_arrow(tbl.drop_columns(["sources"]), keys, 8).equals(
+            _merge_oracle([], keys, 8)
+        )

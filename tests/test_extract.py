@@ -256,6 +256,34 @@ def test_front_end_kernels_emit_only_what_canonicalization_reads(snapshot):
     assert linked.column_names == triples.column_names + ["subj_label", "obj_label"]
 
 
+def test_every_pattern_form_is_an_exact_link(snapshot):
+    """The linker's traffic is exact index hits: every form the surface
+    pattern matches (of the fixture snapshot, and of the snapshot read back
+    from its OWL) normalizes to a ``surface_index`` key once lowercased,
+    so ``EntityLinker`` keeps every triple of a generated corpus and its
+    de-plural fallback and threshold drop none."""
+    from climatemind_ontology_processing_ray.ontology.owl_io import parse_owl, write_owl
+    from climatemind_ontology_processing_ray.ontology.schema import normalize_surface
+    from climatemind_ontology_processing_ray.stages.extract import extract_pages_batch
+    from climatemind_ontology_processing_ray.stages.link import EntityLinker
+    from climatemind_ontology_processing_ray.stages.triples import TripleExtractor
+
+    for snap in (snapshot, parse_owl(write_owl(snapshot))):
+        index = snap.surface_index()
+        for node in snap.individuals.values():
+            for form in node.get("surface_forms") or [node["label"]]:
+                assert normalize_surface(form.lower()) in index, form
+
+    table, _ = generate_pages(snapshot, 300, seed=7)
+    sj = snapshot.to_json()
+    triples = TripleExtractor(sj)(extract_pages_batch(table))
+    linker = EntityLinker(sj)
+    assert triples.num_rows > 200
+    assert linker(triples).num_rows == triples.num_rows
+    for col in ("subj_surface", "obj_surface"):
+        assert all(normalize_surface(s) in linker.index for s in triples.column(col).to_pylist())
+
+
 def _alternation_pattern(forms):
     """The longest-first alternation the trie pattern replaced: the
     oracle for ``build_surface_pattern``."""

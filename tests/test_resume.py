@@ -16,11 +16,7 @@ STAGES = ["canonical_edges", "partials"]
 def _run(table, snapshot, ckpt_dir):
     import ray.data
 
-    cfg = KGConfig(
-        batch_size=64,
-        checkpoint_dir=ckpt_dir,
-        run_key="test-run",
-    )
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt_dir)
     pages = ray.data.from_arrow(table).repartition(4)
     res = run_kg_pipeline(pages, snapshot, cfg)
     rows = res.canonical_edges.take_all()
@@ -72,20 +68,22 @@ def test_kill_mid_stage_recovers(ray_session, snapshot, table, tmp_path_factory)
     assert out1 == out2
 
 
-def test_stale_run_key_recomputes(ray_session, snapshot, table, tmp_path_factory):
-    import ray.data
+def test_stale_run_key_recomputes(
+    ray_session, snapshot, table, tmp_path_factory, monkeypatch
+):
+    """Checkpoints written under an older format tag miss under the
+    current one (and the rerun's edges equal the first run's)."""
+    from climatemind_ontology_processing_ray.pipelines import kg
 
     ckpt = str(tmp_path_factory.mktemp("ckpt3"))
-    _run(table, snapshot, ckpt)
-    cfg = KGConfig(
-        batch_size=64,
-        checkpoint_dir=ckpt,
-        run_key="DIFFERENT",
-    )
-    pages = ray.data.from_arrow(table).repartition(4)
-    res = run_kg_pipeline(pages, snapshot, cfg)
-    res.canonical_edges.take_all()
-    assert res.checkpoints.hits == []
+    with monkeypatch.context() as m:
+        m.setattr(kg, "RUN_KEY", "v1")
+        old, mgr = _run(table, snapshot, ckpt)
+    assert mgr.manifest("canonical_edges")["key"].startswith("v1:")
+    out, mgr = _run(table, snapshot, ckpt)
+    assert mgr.hits == [] and mgr.misses == STAGES
+    assert mgr.manifest("canonical_edges")["key"].startswith(f"{kg.RUN_KEY}:")
+    assert out == old
 
 
 def test_task_failure_retried(ray_session, snapshot, table, tmp_path_factory):
@@ -121,7 +119,7 @@ def test_task_failure_retried(ray_session, snapshot, table, tmp_path_factory):
 def test_changed_ontology_invalidates_checkpoints(
     ray_session, snapshot, table, tmp_path_factory
 ):
-    """Same run_key but a different ontology snapshot must NOT resume from
+    """Same config but a different ontology snapshot must NOT resume from
     the old checkpoints (input fingerprint folded into the manifest key)."""
     import copy
 
@@ -134,11 +132,7 @@ def test_changed_ontology_invalidates_checkpoints(
     ckpt = str(tmp_path_factory.mktemp("ckpt4"))
     _run(table, snapshot, ckpt)
     other = build_fixture_snapshot(extra_chain_nodes=5)  # different ontology
-    cfg = KGConfig(
-        batch_size=64,
-        checkpoint_dir=ckpt,
-        run_key="test-run",
-    )
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
     pages = ray.data.from_arrow(table).repartition(4)
     res = run_kg_pipeline(pages, other, cfg)
     res.canonical_edges.take_all()
@@ -174,7 +168,7 @@ def test_output_config_invalidates_checkpoints(
     import ray.data
 
     def run(ckpt, **changes):
-        cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run", **changes)
+        cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, **changes)
         res = run_kg_pipeline(ray.data.from_arrow(table).repartition(4), snapshot, cfg)
         rows = res.canonical_edges.take_all()
         key = lambda r: (r["subject"], r["object"], r["predicate"])
@@ -198,7 +192,7 @@ def test_file_fingerprint_sees_subsecond_rewrite(ray_session, snapshot, table, t
 
     path = str(tmp_path / "pages.parquet")
     ckpt = str(tmp_path / "ckpt")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
 
     def write(t: pa.Table) -> None:
         pq.write_table(
@@ -241,11 +235,7 @@ def _publish(table, snapshot, out, ckpt, emit_mentions=False):
 
     from climatemind_ontology_processing_ray.pipelines.api import process_pages
 
-    cfg = KGConfig(
-        batch_size=64,
-        checkpoint_dir=ckpt,
-        run_key="test-run",
-    )
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
     pages = ray.data.from_arrow(table).repartition(4)
     return process_pages(pages, out, snapshot=snapshot, cfg=cfg, emit_mentions=emit_mentions)
 
@@ -328,6 +318,35 @@ def test_publish_outputs_are_a_function_of_the_edge_set(published):
     assert _outputs(published["old"]["out"]) == _outputs(published["old_again"]["out"])
     assert published["old"]["key"] == published["old_again"]["key"]
     assert published["old"]["key"] != published["new"]["key"]
+
+
+def _file_md5s(out: str) -> dict:
+    """md5 of every file under ``out`` but ``_PUBLISH.json``."""
+    from climatemind_ontology_processing_ray.state import publish
+
+    return {
+        os.path.relpath(os.path.join(d, name), out): publish.file_md5(os.path.join(d, name))
+        for d, _, names in os.walk(out)
+        for name in names
+        if name != publish.MANIFEST
+    }
+
+
+def test_checkpoint_does_not_change_published_bytes(published, snapshot, table, tmp_path):
+    """A cold checkpointed publish, a warm one (its edges read back from
+    the checkpoint) and an uncheckpointed one write the same bytes: a
+    checkpoint part reads back as the type it was written with."""
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+
+    out = str(tmp_path / "nockpt")
+    pages = ray.data.from_arrow(table).repartition(4)
+    process_pages(pages, out, snapshot=snapshot, cfg=KGConfig(batch_size=64))
+    plain = _file_md5s(out)
+    assert "canonical_edges/part-0.parquet" in plain and "adjacency/part-0.parquet" in plain
+    assert _file_md5s(published["old"]["out"]) == plain
+    assert _file_md5s(published["old_again"]["out"]) == plain
 
 
 def test_warm_publish_is_skipped(published, snapshot, table, monkeypatch):
@@ -581,7 +600,7 @@ def test_checkpointed_publish_runs_one_execution(
 
     path = str(tmp_path / "pages.parquet")
     pq.write_table(table, path)
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
     for runs in (1, 0):
         ray_executions.clear()
         process_pages(ray.data.read_parquet(path), str(tmp_path / "out"), snapshot, cfg)
@@ -719,7 +738,7 @@ def test_resumed_fold_is_bounded(ray_session, snapshot, table, tmp_path, monkeyp
 
     pages = pa.concat_tables([table] * 8)  # many blocks over one key space
     ckpt = str(tmp_path / "ckpt")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, run_key="test-run")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
     cold = run_kg_pipeline(ray.data.from_arrow(pages).repartition(16), snapshot, cfg)
     files = cold.checkpoints.manifest("partials")["files"]
     distinct, largest = cold.edges.num_rows, max(f["rows"] for f in files)
@@ -753,7 +772,7 @@ def test_transformed_parquet_read_does_not_reuse_plain_read_checkpoints(
 
     path = str(tmp_path / "pages.parquet")
     pq.write_table(table, path)
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
     limited = run_kg_pipeline(ray.data.read_parquet(path).limit(50), snapshot, cfg)
     full = run_kg_pipeline(ray.data.read_parquet(path), snapshot, cfg)
     assert full.checkpoints.hits == [] and full.checkpoints.misses == STAGES
@@ -772,7 +791,7 @@ def test_mapped_corpus_fingerprint_runs_no_schema_execution(
     import ray.data
 
     pages = ray.data.from_arrow(table).map_batches(lambda b: b, batch_format="pyarrow")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run")
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
     run_kg_pipeline(pages, snapshot, cfg)
     assert len(ray_executions) == 2, ray_executions
     assert not any("limit=1" in name for run in ray_executions for name in run), ray_executions
@@ -824,9 +843,7 @@ def test_empty_stages_checkpoint_and_publish(
         changes = {}
     else:
         changes = {"link_threshold": 1.01}
-    cfg = KGConfig(
-        batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), run_key="test-run", **changes
-    )
+    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), **changes)
     out = str(tmp_path / "out")
 
     def pages():
