@@ -120,9 +120,11 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
     return canonicalize_partials(existing.union(new), sources_cap)
 
 
-# every name a publish owns under output_dir: a commit replaces each one,
-# and removes the ones its set lacks (e.g. mentions/ after emit_mentions)
+# the names an output dir of the earlier layout holds as real entries (every
+# output name and that layout's staging dir): the first commit into such a
+# dir removes them before it links the names (state/publish.py)
 _OUTPUTS = (
+    "_publish.tmp",
     "canonical_edges",
     "adjacency",
     "nodes",
@@ -180,23 +182,24 @@ def process_pages(
     Publish is one checkpointed, kill-safe stage (``state/publish.py``).
     Every output (``canonical_edges/``, ``adjacency/``, ``nodes/``, the
     optional ``mentions/``, ``output.csv``, the two pickles and the JSON)
-    is written under ``<output_dir>/_publish.tmp/``, sealed by a
-    ``_PUBLISH.json`` written there last, then committed: the old
-    ``<output_dir>/_PUBLISH.json`` goes first, each staged entry replaces
-    its old one (an owned entry the new set lacks is removed), and the
-    manifest moves in last.  ``_PUBLISH.json`` holds the publish key (the
-    ``canonical_edges`` checkpoint's run key, a digest of the edge
-    table's cells, ``emit_mentions`` and the package version), the
-    returned ``paths`` relative to ``output_dir``, and each file's size
-    and md5.
+    is written into a fresh set, ``<output_dir>/_sets/<id>/``, sealed by a
+    ``_PUBLISH.json`` written there last, then committed: each output name
+    at the top of ``output_dir`` is a relative symlink through
+    ``<output_dir>/_current``, and one ``os.replace`` of ``_current``
+    makes the new set live.  ``_PUBLISH.json`` (itself such a link) holds
+    the publish key (the ``canonical_edges`` checkpoint's run key, a digest
+    of the edge table's cells, ``emit_mentions`` and the package version),
+    the returned ``paths`` relative to ``output_dir``, and each file's
+    size and md5.  The returned paths are the ``<output_dir>/<name>``
+    links, so every read goes through the live set.
 
-    On start, a publish a kill interrupted is repaired: a sealed staging
-    directory is committed, any other is deleted.  With a checkpoint dir,
-    a run whose ``_PUBLISH.json`` has the same key, with every listed file
-    matching its size and md5, writes nothing: it returns ``art`` and the
-    published paths.  That holds also when the checkpoints were cleared
-    and recomputed to the same edges.  Without a checkpoint dir every run
-    publishes."""
+    On start, what a kill left is repaired: sets ``_current`` does not
+    name and links that no longer resolve are deleted.  With a checkpoint
+    dir, a run whose ``_PUBLISH.json`` has the same key, with every listed
+    file matching its size and md5, writes nothing: it returns ``art`` and
+    the published paths.  That holds also when the checkpoints were
+    cleared and recomputed to the same edges.  Without a checkpoint dir
+    every run publishes.  An output dir needs a filesystem with symlinks."""
     from ..graph.tables import nodes_table
     from ..state import publish
 
@@ -213,8 +216,7 @@ def process_pages(
         if manifest is not None:
             return art, publish.resolve(output_dir, manifest)
 
-    staging = publish.staging_dir(output_dir)  # repair left none behind
-    os.makedirs(staging)
+    staging = publish.new_set(output_dir)
     paths = {
         "canonical_edges": _write_table(edges, os.path.join(staging, "canonical_edges")),
         "adjacency": _write_table(adjacency_table(edges), os.path.join(staging, "adjacency")),
@@ -224,5 +226,5 @@ def process_pages(
     if emit_mentions:
         paths["mentions"] = os.path.join(staging, "mentions")
         extract_mentions(pages, snap, cfg).write_parquet(paths["mentions"])
-    publish.seal(staging, key, paths, _OUTPUTS)
-    return art, publish.resolve(output_dir, publish.commit(output_dir))
+    publish.seal(staging, key, paths)
+    return art, publish.resolve(output_dir, publish.commit(output_dir, staging, _OUTPUTS))

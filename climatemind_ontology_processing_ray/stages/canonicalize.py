@@ -150,7 +150,7 @@ def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
     return pa.table(out)
 
 
-# only perfbench's traced shuffle_layer calls this; it goes with salt (ROADMAP item 1)
+# only perfbench's traced shuffle_layer calls this; it goes with salt (ROADMAP item 2)
 def _part_tag_arrow(batch: pa.Table, cols: list[str], num_parts: int) -> pa.Table:
     """Append the partition-id column without leaving Arrow: per-column
     fixed-key hash (pd.util.hash_array — Cython, PYTHONHASHSEED-free, the
@@ -221,7 +221,7 @@ def partial_triple_agg_arrow(
     )
 
 
-# only perfbench's traced shuffle_layer reads this; it goes with salt (ROADMAP item 1)
+# only perfbench's traced shuffle_layer reads this; it goes with salt (ROADMAP item 2)
 _FANIN_ROWS = 16_384
 
 

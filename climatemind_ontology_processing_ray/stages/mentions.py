@@ -34,17 +34,6 @@ from ..ontology.schema import OntologySnapshot, normalize_surface
 SENTENCE_ENDS = ".!?\n"
 
 
-def sentence_id(low: str, pos: int) -> int:
-    """Index of the sentence holding offset ``pos``: the number of
-    sentence terminators before it."""
-    return (
-        low.count(".", 0, pos)
-        + low.count("!", 0, pos)
-        + low.count("?", 0, pos)
-        + low.count("\n", 0, pos)
-    )
-
-
 _END = ""  # trie key marking the end of a surface form
 
 
@@ -111,13 +100,17 @@ class MentionDetector:
         out_start, out_end = [], []
         for url, text in zip(urls, texts):
             # single whole-page scan: spans are exact page offsets; sent_id
-            # counts sentence terminators before the match
+            # counts sentence terminators before the match, kept as a
+            # running count since matches arrive in offset order
             low = (text or "").lower()
+            sid = prev = 0
             for m in self.pattern.finditer(low):
                 norm = normalize_surface(m.group(0))
                 s = m.start()
+                sid += sum(low.count(c, prev, s) for c in SENTENCE_ENDS)
+                prev = s
                 out_url.append(url)
-                out_sid.append(sentence_id(low, s))
+                out_sid.append(sid)
                 out_surface.append(m.group(0))
                 out_norm.append(norm)
                 out_label.append(self.index.get(norm))

@@ -35,10 +35,11 @@ stage, publish (``pipelines/api.py:process_pages``), is keyed on the
 ``canonical_edges`` manifest's run key, a digest of the edge table's cells,
 ``emit_mentions`` and the package version.  It builds every output from
 the driver-side table that ``stage_table("canonical_edges", ...)``
-returned (pyarrow, no Ray job).  Its outputs are staged and committed
-under one ``<output_dir>/_PUBLISH.json`` (``state/publish.py``); a run
-whose published manifest has the same key and verifies file by file
-writes nothing.
+returned (pyarrow, no Ray job).  Its outputs are written as one set under
+``<output_dir>/_sets/<id>/``, sealed by the set's ``_PUBLISH.json`` and made
+live by one rename of the ``<output_dir>/_current`` link, through which
+every output name links (``state/publish.py``); a run whose published
+manifest has the same key and verifies file by file writes nothing.
 """
 
 from __future__ import annotations

@@ -1,32 +1,32 @@
-"""Kill-safe publish: a run's outputs replace the previous ones as one set.
+"""Kill-safe publish: a run's outputs replace the previous ones in one rename.
 
-Layout under ``output_dir``::
+Layout under ``output_dir`` (all links relative; the filesystem needs
+symlinks, as local Linux filesystems have)::
 
-    <output_dir>/<entry>                  published outputs (files, parquet dirs)
-    <output_dir>/_PUBLISH.json            {key, paths, entries, replaces, files}
-    <output_dir>/_publish.tmp/            staging: the next set, sealed by
-                                          its own _PUBLISH.json, written last
+    _sets/<id>/                   one complete set, sealed by its own
+                                  _PUBLISH.json {key, paths, entries, files}
+    _current -> _sets/<id>        the live set
+    <name> -> _current/<name>     each output name, _PUBLISH.json included
 
-``paths`` maps each output name to its path relative to ``output_dir``;
-``entries`` are the top-level names the set holds; ``replaces`` are the
-names a commit owns (an owned name the new set lacks, e.g. a stale
-``mentions/``, is removed); ``files`` holds the size and md5 of every file
-under the entries.
+``paths`` maps each output name to its path relative to the set (so also to
+``output_dir``, through the names), ``entries`` are the set's top-level
+names and ``files`` the size and md5 of every file under them.
 
-A publish writes every output into the staging directory, then ``seal``
-writes the staged manifest, then ``commit``:
+A publish writes every output into ``new_set``, ``seal`` writes the set's
+manifest last, then ``commit`` links each name the set holds and
+``output_dir`` lacks (it dangles, so reads as absent, until the swap),
+swaps ``_current`` by one ``os.replace`` of a fresh link, and runs
+``repair``.  ``repair``, run before every publish too, only deletes: each
+set ``_current`` does not name, a leftover ``_current.tmp`` and each name
+link into ``_current/`` that no longer resolves (``mentions`` after a set
+without it).  So after a kill at any point the names read as one complete
+set, old or new, whose ``_PUBLISH.json`` verifies, and the next run ends
+with one set.
 
-1. removes ``<output_dir>/_PUBLISH.json``;
-2. moves each staged entry into place over the old one, and removes each
-   owned entry the new set lacks;
-3. moves the staged ``_PUBLISH.json`` into place;
-4. deletes the staging directory.
-
-``repair`` runs before the next publish.  A staging directory that holds a
-manifest is committed (roll forward; the moves a kill already made are
-skipped); any other staging directory is deleted.  So after any kill,
-``_PUBLISH.json`` is either absent or lists files that verify, and the
-next run ends with one complete set and no staging directory.
+A dir in the earlier layout (real entries at the names, ``_publish.tmp/``
+staging) is converted by its first commit, which removes each owned real
+entry, then links the name.  A kill within that one step can leave names
+missing; the dir then reads as unpublished and the next run publishes.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ import hashlib
 import json
 import os
 import shutil
+import uuid
 
 MANIFEST = "_PUBLISH.json"
-STAGING = "_publish.tmp"
+SETS = "_sets"
+CURRENT = "_current"
 
 
 def _load(path: str) -> dict | None:
@@ -53,10 +55,6 @@ def _remove(path: str) -> None:
         shutil.rmtree(path)
     elif os.path.lexists(path):
         os.remove(path)
-
-
-def _move(src: str, dst: str) -> None:
-    os.replace(src, dst)
 
 
 def file_md5(path: str) -> str:
@@ -90,8 +88,11 @@ def _digests(root: str, entries: list[str]) -> dict[str, dict]:
     }
 
 
-def staging_dir(output_dir: str) -> str:
-    return os.path.join(output_dir, STAGING)
+def new_set(output_dir: str) -> str:
+    """A fresh, empty set directory for the next publish."""
+    path = os.path.join(output_dir, SETS, uuid.uuid4().hex)
+    os.makedirs(path)
+    return path
 
 
 def resolve(output_dir: str, manifest: dict) -> dict[str, str]:
@@ -100,59 +101,56 @@ def resolve(output_dir: str, manifest: dict) -> dict[str, str]:
 
 
 def repair(output_dir: str) -> None:
-    """Finish (roll forward) a sealed publish a kill interrupted; delete
-    any other leftover staging directory."""
-    staging = staging_dir(output_dir)
-    if not os.path.lexists(staging):
-        return
-    if _load(os.path.join(staging, MANIFEST)) is not None:
-        commit(output_dir)
-    else:
-        _remove(staging)
+    """Delete what a kill left behind (see the module docstring)."""
+    current = os.path.join(output_dir, CURRENT)
+    live = os.path.islink(current) and os.path.basename(os.readlink(current))
+    sets = os.path.join(output_dir, SETS)
+    for name in os.listdir(sets) if os.path.isdir(sets) else ():
+        if name != live:
+            _remove(os.path.join(sets, name))
+    _remove(current + ".tmp")
+    for name in os.listdir(output_dir):
+        path = os.path.join(output_dir, name)  # listed but not there: a dangling link
+        if not os.path.exists(path) and os.readlink(path).startswith(CURRENT + os.sep):
+            os.remove(path)
 
 
-def seal(staging: str, key: str | None, paths: dict[str, str], replaces) -> None:
-    """Write the staged manifest for ``paths`` (output name -> staged path),
-    last and atomically: a staging directory holding a manifest is
-    complete."""
-    rel = {k: os.path.relpath(p, staging) for k, p in paths.items()}
+def seal(set_dir: str, key: str | None, paths: dict[str, str]) -> None:
+    """Write the set's manifest for ``paths`` (output name -> path in the
+    set), last and atomically: a set holding a manifest is complete."""
+    rel = {k: os.path.relpath(p, set_dir) for k, p in paths.items()}
     entries = sorted({r.split(os.sep, 1)[0] for r in rel.values()})
-    manifest = {
-        "key": key,
-        "paths": rel,
-        "entries": entries,
-        "replaces": sorted(set(replaces) | set(entries)),
-        "files": _digests(staging, entries),
-    }
-    tmp = os.path.join(staging, MANIFEST + ".tmp")
+    manifest = {"key": key, "paths": rel, "entries": entries, "files": _digests(set_dir, entries)}
+    tmp = os.path.join(set_dir, MANIFEST + ".tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
-    _move(tmp, os.path.join(staging, MANIFEST))
+    os.replace(tmp, os.path.join(set_dir, MANIFEST))
 
 
-def commit(output_dir: str) -> dict:
-    """Move the sealed staged set into place (steps 1-4 above); safe to
-    re-run after a kill at any point."""
-    staging = staging_dir(output_dir)
-    staged_manifest = os.path.join(staging, MANIFEST)
-    manifest = _load(staged_manifest)
-    _remove(os.path.join(output_dir, MANIFEST))
-    for name in manifest["replaces"]:
-        src, dst = os.path.join(staging, name), os.path.join(output_dir, name)
-        if name not in manifest["entries"]:
-            _remove(dst)
-        elif os.path.lexists(src):  # else an interrupted commit moved it
-            _remove(dst)
-            _move(src, dst)
-    _move(staged_manifest, os.path.join(output_dir, MANIFEST))
-    _remove(staging)
+def commit(output_dir: str, set_dir: str, owned) -> dict:
+    """Make the sealed ``set_dir`` the live set (see the module docstring).
+    ``owned`` are the names an earlier-layout dir may hold as real
+    entries; each one found is removed, and linked if the set holds it."""
+    manifest = _load(os.path.join(set_dir, MANIFEST))
+    names = [MANIFEST] + manifest["entries"]
+    for name in names + sorted(set(owned) - set(names)):
+        path = os.path.join(output_dir, name)
+        if os.path.islink(path):
+            continue
+        _remove(path)
+        if name in names:
+            os.symlink(os.path.join(CURRENT, name), path)
+    tmp = os.path.join(output_dir, CURRENT + ".tmp")
+    os.symlink(os.path.relpath(set_dir, output_dir), tmp)
+    os.replace(tmp, os.path.join(output_dir, CURRENT))
+    repair(output_dir)
     return manifest
 
 
 def verify(output_dir: str, key: str | None) -> dict | None:
     """The published manifest when its key is ``key`` and the files under
-    its entries are exactly the listed ones, each with its size and md5;
-    else ``None``."""
+    its entries, read through the names, are exactly the listed ones, each
+    with its size and md5; else ``None``."""
     manifest = _load(os.path.join(output_dir, MANIFEST))
     if manifest is None or manifest.get("key") != key:
         return None

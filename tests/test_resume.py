@@ -253,16 +253,16 @@ def _patch_writers(monkeypatch, write) -> None:
 
 
 def _outputs(out: str) -> dict:
-    """Every published entry: a file's bytes, a Parquet dir's sorted rows
-    (Ray names part files uniquely per run)."""
+    """Every published entry, read through its name: a file's bytes, a
+    Parquet dir's sorted rows (Ray names part files uniquely per run).
+    ``_``-prefixed names (the manifest, the sets, ``_current``) and names
+    that do not resolve are skipped."""
     import pyarrow.parquet as pq
-
-    from climatemind_ontology_processing_ray.state import publish
 
     got = {}
     for name in sorted(os.listdir(out)):
         path = os.path.join(out, name)
-        if name == publish.MANIFEST:
+        if name.startswith("_") or not os.path.exists(path):
             continue
         if os.path.isdir(path):
             got[name] = sorted(map(repr, pq.read_table(path).to_pylist()))
@@ -320,15 +320,26 @@ def test_publish_outputs_are_a_function_of_the_edge_set(published):
     assert published["old"]["key"] != published["new"]["key"]
 
 
+def _published_files(out: str):
+    """(path relative to ``out``, path) of every file read through the
+    output names: the walk follows their links and skips the top-level
+    ``_``-prefixed dirs (``_sets``, ``_current``), whose set ids are
+    random."""
+    for d, dirs, names in os.walk(out, followlinks=True):
+        if d == out:
+            dirs[:] = [x for x in dirs if not x.startswith("_")]
+        for name in names:
+            yield os.path.relpath(os.path.join(d, name), out), os.path.join(d, name)
+
+
 def _file_md5s(out: str) -> dict:
-    """md5 of every file under ``out`` but ``_PUBLISH.json``."""
+    """md5 of every published file but ``_PUBLISH.json``."""
     from climatemind_ontology_processing_ray.state import publish
 
     return {
-        os.path.relpath(os.path.join(d, name), out): publish.file_md5(os.path.join(d, name))
-        for d, _, names in os.walk(out)
-        for name in names
-        if name != publish.MANIFEST
+        rel: publish.file_md5(path)
+        for rel, path in _published_files(out)
+        if rel != publish.MANIFEST
     }
 
 
@@ -404,7 +415,7 @@ def test_damaged_output_forces_republish(
     import shutil
 
     out = str(tmp_path / "out")
-    shutil.copytree(published["old"]["out"], out)
+    shutil.copytree(published["old"]["out"], out, symlinks=True)
     if damage == "delete":
         os.remove(os.path.join(out, "output.csv"))
     elif damage == "alter":
@@ -425,7 +436,7 @@ def test_flipping_emit_mentions_republishes(published, snapshot, table, tmp_path
     import shutil
 
     out = str(tmp_path / "out")
-    shutil.copytree(published["old"]["out"], out)
+    shutil.copytree(published["old"]["out"], out, symlinks=True)
     _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
     assert "mentions" in paths and os.listdir(paths["mentions"])
     assert _published_key(out) == published["new"]["key"]
@@ -433,6 +444,41 @@ def test_flipping_emit_mentions_republishes(published, snapshot, table, tmp_path
     _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=False)
     assert "mentions" not in paths and not os.path.exists(os.path.join(out, "mentions"))
     assert _outputs(out) == _outputs(published["old"]["out"])
+
+
+def test_earlier_layout_converts_once(published, snapshot, table, tmp_path):
+    """A dir in the earlier layout (real entries at the names, a real
+    ``_PUBLISH.json``, a leftover ``_publish.tmp/``) is converted by its
+    first publish: every name becomes a link, the outputs equal an
+    uninterrupted publish, the staging dir goes and a foreign file stays."""
+    import shutil
+
+    from climatemind_ontology_processing_ray.state import publish
+
+    src, out = published["old"]["out"], str(tmp_path / "out")
+    os.makedirs(os.path.join(out, "_publish.tmp", "canonical_edges"))
+    for name in os.listdir(src):
+        if name == publish.MANIFEST or not name.startswith("_"):
+            copy = shutil.copytree if os.path.isdir(os.path.join(src, name)) else shutil.copy
+            copy(os.path.join(src, name), os.path.join(out, name))
+    with open(os.path.join(out, "notes.txt"), "w") as f:
+        f.write("not an output")
+    assert not any(os.path.islink(os.path.join(out, name)) for name in os.listdir(out))
+
+    _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+    rel = {k: os.path.relpath(p, out) for k, p in paths.items()}
+    new_out = published["new"]["out"]
+    assert rel == {k: os.path.relpath(p, new_out) for k, p in published["new"]["paths"].items()}
+    names = {publish.MANIFEST} | {r.split(os.sep)[0] for r in rel.values()}
+    assert all(os.path.islink(os.path.join(out, name)) for name in names)
+    assert _published_key(out) == published["new"]["key"]
+    got = _outputs(out)
+    with open(os.path.join(out, "notes.txt")) as f:
+        assert f.read() == "not an output"
+    del got["notes.txt"]
+    assert got == _outputs(new_out)
+    assert not os.path.lexists(os.path.join(out, "_publish.tmp"))
+    assert len(os.listdir(os.path.join(out, publish.SETS))) == 1
 
 
 def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tmp_path):
@@ -451,99 +497,143 @@ def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tm
     assert manifests[0] != manifests[1]
 
 
-# a kill at each step of a publish that replaces ``old`` by ``new``:
-# after each staged output (edges, adjacency and nodes by the table
-# writer, the reference files, mentions by ``Dataset.write_parquet``), at
-# each rename (staged manifest seal, the 8 entry moves, the
-# manifest move) and after the commit before staging cleanup
+# a kill at each step of publishing ``new`` over ``old`` and then ``old``
+# again: ``staged_write`` after each staged output of the first publish
+# (edges, adjacency and nodes by the table writer, the reference files,
+# mentions by ``Dataset.write_parquet``); ``move`` before each of the 10
+# filesystem changes the two commits make (each: the seal's rename, the
+# links, the ``_current`` swap, then repair's removals: ``old -> new``
+# links ``mentions``, ``new -> old`` removes its dangling link);
+# ``cleanup`` right after the first swap and again in the next run's
+# repair, before it removes the replaced set
 KILL_POINTS = (
     [("staged_write", n) for n in range(1, 6)]
     + [("move", n) for n in range(1, 11)]
     + [("cleanup", 1)]
 )
+_SEQUENCE = (("new", True), ("old", False))
+
+
+def _kill_fs_change(monkeypatch, out: str, n: int) -> None:
+    """Kill before the ``n``-th filesystem change under ``out`` (a rename,
+    link or removal)."""
+    import shutil
+
+    calls = {"n": 0}
+
+    def killing(real):
+        def change(path, *a, **k):
+            if any(str(p).startswith(out + os.sep) for p in (path, *a)):
+                calls["n"] += 1
+                if calls["n"] == n:
+                    raise Killed(f"filesystem change {n}")
+            return real(path, *a, **k)
+
+        return change
+
+    for mod, name in ((os, "replace"), (os, "symlink"), (os, "remove"), (shutil, "rmtree")):
+        monkeypatch.setattr(mod, name, killing(getattr(mod, name)))
+
+
+def _kill_staged_write(monkeypatch, n: int) -> None:
+    """Kill right after the ``n``-th staged output is written."""
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines import api
+
+    calls = {"n": 0}
+
+    def count_then_kill():
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise Killed(f"staged write {n}")
+
+    real_table, real_write = api._write_table, ray.data.Dataset.write_parquet
+    real_artifacts = api.write_all_artifacts
+
+    def write_table(*a, **k):
+        path = real_table(*a, **k)
+        count_then_kill()
+        return path
+
+    def write(self, *a, **k):
+        real_write(self, *a, **k)
+        count_then_kill()
+
+    def artifacts(*a, **k):
+        paths = real_artifacts(*a, **k)
+        count_then_kill()
+        return paths
+
+    monkeypatch.setattr(api, "_write_table", write_table)
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
+    monkeypatch.setattr(api, "write_all_artifacts", artifacts)
+
+
+def _assert_one_complete_set(published, out: str, src: str, dst: str) -> str:
+    """The names read as the ``src`` or the ``dst`` set in full, and
+    ``_PUBLISH.json`` verifies for that set; returns which one."""
+    key = _published_key(out)
+    assert key in (published[src]["key"], published[dst]["key"])
+    got = src if key == published[src]["key"] else dst
+    assert _outputs(out) == _outputs(published[got]["out"])
+    return got
 
 
 @pytest.mark.parametrize("point,n", KILL_POINTS)
 def test_killed_publish_leaves_one_complete_set(
     published, snapshot, table, tmp_path, monkeypatch, point, n
 ):
-    """After a kill at any publish step ``_PUBLISH.json`` is absent or
-    verifies (and names the old or the new set); the next run repairs
-    without manual cleanup and ends byte-identical to an uninterrupted
-    run, with no staging directory left."""
+    """Right after a kill at any publish step the names read as one
+    complete set, the old or the new, whose ``_PUBLISH.json`` verifies;
+    the next run repairs without manual cleanup and ends byte-identical
+    to an uninterrupted run, with one set and no leftover."""
     import shutil
 
-    import ray.data
-
-    from climatemind_ontology_processing_ray.pipelines import api
     from climatemind_ontology_processing_ray.state import publish
 
     out = str(tmp_path / "out")
-    shutil.copytree(published["old"]["out"], out)
-    calls = {"n": 0}
-
-    def count_then_kill():
-        calls["n"] += 1
-        if calls["n"] == n:
-            raise Killed(f"{point} {n}")
-
+    shutil.copytree(published["old"]["out"], out, symlinks=True)
     if point == "staged_write":
-        real_table, real_write = api._write_table, ray.data.Dataset.write_parquet
-        real_artifacts = api.write_all_artifacts
-
-        def write_table(*a, **k):
-            path = real_table(*a, **k)
-            count_then_kill()
-            return path
-
-        def write(self, *a, **k):
-            real_write(self, *a, **k)
-            count_then_kill()
-
-        def artifacts(*a, **k):
-            paths = real_artifacts(*a, **k)
-            count_then_kill()
-            return paths
-
-        monkeypatch.setattr(api, "_write_table", write_table)
-        monkeypatch.setattr(ray.data.Dataset, "write_parquet", write)
-        monkeypatch.setattr(api, "write_all_artifacts", artifacts)
-    elif point == "move":
-        real_move = publish._move
-
-        def move(src, dst):
-            count_then_kill()
-            real_move(src, dst)
-
-        monkeypatch.setattr(publish, "_move", move)
+        _kill_staged_write(monkeypatch, n)
     else:
-        real_remove = publish._remove
-
-        def remove(path):
-            if path == publish.staging_dir(out):
-                count_then_kill()
-            real_remove(path)
-
-        monkeypatch.setattr(publish, "_remove", remove)
-
+        _kill_fs_change(monkeypatch, out, n if point == "move" else 5)
+    done = 0
     with pytest.raises(Killed):
-        _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+        for _, emit in _SEQUENCE:
+            _publish(table, snapshot, out, published["ckpt"], emit_mentions=emit)
+            done += 1
     monkeypatch.undo()
+    src, (dst, mentions) = "old" if done == 0 else "new", _SEQUENCE[done]
+    got = _assert_one_complete_set(published, out, src, dst)
 
-    assert _published_key(out) in (None, published["old"]["key"], published["new"]["key"])
-    if point == "cleanup" or (point == "move" and n > 1):
-        # the staged set was sealed: the next run rolls it forward (or
-        # finds it committed), then finds it matching, so it writes no
-        # table at all
+    if point == "cleanup":
+        # the first swap is done: the next run's repair is killed before
+        # it removes the replaced set
+        assert got == dst
+        _kill_fs_change(monkeypatch, out, 1)
+        with pytest.raises(Killed):
+            _publish(table, snapshot, out, published["ckpt"], emit_mentions=mentions)
+        monkeypatch.undo()
+        assert _assert_one_complete_set(published, out, src, dst) == dst
+    if got == dst:
+        # the swap was done: the next run finds the set published, so it
+        # writes no table at all
         def no_write(*a, **k):
-            raise AssertionError("a sealed staged set was not rolled forward")
+            raise AssertionError("a committed set was published again")
 
         _patch_writers(monkeypatch, no_write)
-    _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+    _publish(table, snapshot, out, published["ckpt"], emit_mentions=mentions)
     monkeypatch.undo()
-    assert not os.path.exists(publish.staging_dir(out))
-    assert _published_key(out) == published["new"]["key"]
-    assert _outputs(out) == _outputs(published["new"]["out"])
+    assert _published_key(out) == published[dst]["key"]
+    assert _outputs(out) == _outputs(published[dst]["out"])
+    assert len(os.listdir(os.path.join(out, publish.SETS))) == 1
+    assert sorted(name for name in os.listdir(out) if name.startswith("_")) == [
+        publish.MANIFEST,
+        publish.CURRENT,
+        publish.SETS,
+    ]
+    assert all(os.path.exists(os.path.join(out, name)) for name in os.listdir(out))
 
 
 def test_cold_publish_writes_only_the_checkpoints(
@@ -608,12 +698,11 @@ def test_checkpointed_publish_runs_one_execution(
 
 
 def _file_bytes(out: str) -> dict:
-    """Every file under ``out``, by relative path."""
+    """Every published file, by relative path."""
     got = {}
-    for d, _, names in os.walk(out):
-        for name in names:
-            with open(os.path.join(d, name), "rb") as f:
-                got[os.path.relpath(os.path.join(d, name), out)] = f.read()
+    for rel, path in _published_files(out):
+        with open(path, "rb") as f:
+            got[rel] = f.read()
     return got
 
 
