@@ -120,11 +120,9 @@ def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8)
     return canonicalize_partials(existing.union(new), sources_cap)
 
 
-# the names an output dir of the earlier layout holds as real entries (every
-# output name and that layout's staging dir): the first commit into such a
-# dir removes them before it links the names (state/publish.py)
+# every output name: the first commit into a dir holding real entries at
+# the names removes them before it links the names (state/publish.py)
 _OUTPUTS = (
-    "_publish.tmp",
     "canonical_edges",
     "adjacency",
     "nodes",

@@ -20,13 +20,14 @@ swaps ``_current`` by one ``os.replace`` of a fresh link, and runs
 set ``_current`` does not name, a leftover ``_current.tmp`` and each name
 link into ``_current/`` that no longer resolves (``mentions`` after a set
 without it).  So after a kill at any point the names read as one complete
-set, old or new, whose ``_PUBLISH.json`` verifies, and the next run ends
-with one set.
+set, old or new, whose ``_PUBLISH.json`` verifies; the next run leaves one.
 
-A dir in the earlier layout (real entries at the names, ``_publish.tmp/``
-staging) is converted by its first commit, which removes each owned real
-entry, then links the name.  A kill within that one step can leave names
-missing; the dir then reads as unpublished and the next run publishes.
+A dir with real entries at the names (the earlier layout, whose leftover
+``_publish.tmp/`` ``repair`` deletes, or a copy made through the links) is
+converted by its first commit: it removes each owned real entry and a
+real ``_current``, and links the names.  A kill within that step can
+leave names missing; the dir then reads as unpublished and the next run
+publishes.
 """
 
 from __future__ import annotations
@@ -79,13 +80,8 @@ def _digests(root: str, entries: list[str]) -> dict[str, dict]:
             ]
         elif os.path.isfile(path):
             files.append(entry)
-    return {
-        rel: {
-            "size": os.path.getsize(os.path.join(root, rel)),
-            "md5": file_md5(os.path.join(root, rel)),
-        }
-        for rel in sorted(files)
-    }
+    paths = {rel: os.path.join(root, rel) for rel in sorted(files)}
+    return {rel: {"size": os.path.getsize(p), "md5": file_md5(p)} for rel, p in paths.items()}
 
 
 def new_set(output_dir: str) -> str:
@@ -109,6 +105,7 @@ def repair(output_dir: str) -> None:
         if name != live:
             _remove(os.path.join(sets, name))
     _remove(current + ".tmp")
+    _remove(os.path.join(output_dir, "_publish.tmp"))  # the earlier layout's staging
     for name in os.listdir(output_dir):
         path = os.path.join(output_dir, name)  # listed but not there: a dangling link
         if not os.path.exists(path) and os.readlink(path).startswith(CURRENT + os.sep):
@@ -129,20 +126,21 @@ def seal(set_dir: str, key: str | None, paths: dict[str, str]) -> None:
 
 def commit(output_dir: str, set_dir: str, owned) -> dict:
     """Make the sealed ``set_dir`` the live set (see the module docstring).
-    ``owned`` are the names an earlier-layout dir may hold as real
-    entries; each one found is removed, and linked if the set holds it."""
+    ``owned`` are the output names a dir may hold as real entries: each
+    one found, and a real ``_current``, is removed, then linked if the set
+    holds it."""
     manifest = _load(os.path.join(set_dir, MANIFEST))
     names = [MANIFEST] + manifest["entries"]
-    for name in names + sorted(set(owned) - set(names)):
+    for name in names + sorted(set(owned) - set(names)) + [CURRENT]:
         path = os.path.join(output_dir, name)
         if os.path.islink(path):
             continue
         _remove(path)
         if name in names:
             os.symlink(os.path.join(CURRENT, name), path)
-    tmp = os.path.join(output_dir, CURRENT + ".tmp")
-    os.symlink(os.path.relpath(set_dir, output_dir), tmp)
-    os.replace(tmp, os.path.join(output_dir, CURRENT))
+    current = os.path.join(output_dir, CURRENT)
+    os.symlink(os.path.relpath(set_dir, output_dir), current + ".tmp")
+    os.replace(current + ".tmp", current)
     repair(output_dir)
     return manifest
 

@@ -293,7 +293,7 @@ def test_mention_spans_are_exact_page_offsets(ray_session, snapshot):
     ).take_all()
     for r in rows:
         assert text.lower()[r["span_start"] : r["span_end"]] == r["surface"]
-    assert {"sea level rise", "global warming"} <= {r["surface"] for r in rows}
+    assert {r["surface"] for r in rows} == {"sea level rise", "global warming"}
     sids = {r["span_start"]: r["sent_id"] for r in rows}
     assert sids[0] == 0  # first sentence
     # every sent_id is the naive count of terminators before the span

@@ -481,6 +481,26 @@ def test_earlier_layout_converts_once(published, snapshot, table, tmp_path):
     assert len(os.listdir(os.path.join(out, publish.SETS))) == 1
 
 
+def test_publish_into_a_copy_made_through_the_links(published, snapshot, table, tmp_path):
+    """A copy that follows the links holds a real ``_current/`` and real
+    entries at the names; publishing into it converts it to links, and
+    later publishes into it work too."""
+    import shutil
+
+    from climatemind_ontology_processing_ray.state import publish
+
+    out = str(tmp_path / "out")
+    shutil.copytree(published["old"]["out"], out)
+    assert not os.path.islink(os.path.join(out, publish.CURRENT))
+    for emit_mentions, want in ((True, "new"), (False, "old")):
+        _publish(table, snapshot, out, published["ckpt"], emit_mentions=emit_mentions)
+        assert os.path.islink(os.path.join(out, publish.CURRENT))
+        assert os.path.islink(os.path.join(out, publish.MANIFEST))
+        assert _published_key(out) == published[want]["key"]
+        assert _outputs(out) == _outputs(published[want]["out"])
+        assert len(os.listdir(os.path.join(out, publish.SETS))) == 1
+
+
 def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tmp_path):
     import ray.data
 
