@@ -44,10 +44,13 @@ def write_edges_csv(edges: Iterable[Triple], path: str) -> None:
 
 
 def read_edges_csv(path: str) -> list[Triple]:
+    """The rows of a :func:`write_edges_csv` file; ``ValueError`` when its
+    header is not ``subject,object,predicate``."""
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
-        assert header == ["subject", "object", "predicate"], header
+        header = next(r, None)
+        if header != ["subject", "object", "predicate"]:
+            raise ValueError(f"{path}: header {header!r} is not subject,object,predicate")
         return [tuple(row) for row in r]
 
 

@@ -159,16 +159,22 @@ def extract_pages(pages: Dataset, cfg: KGConfig) -> Dataset:
 
 
 _DIGEST_MOD = 1 << 128
+# a length prefix no cell can have: a null hashes apart from every value
+_NULL_CELL = b"\xff" * 8
 
 
 def _digest_block(batch: pa.Table) -> pa.Table:
     """One row: the block's row count, its schema and the sum mod 2**128 of
-    each row's 128-bit blake2b over its length-prefixed cells.  A sum is
-    blind to row order and to how rows fall into blocks."""
+    each row's 128-bit blake2b over its length-prefixed cells (a null cell
+    is a prefix alone, ``_NULL_CELL``).  A sum is blind to row order and
+    to how rows fall into blocks."""
     total = 0
     for row in zip(*(c.to_pylist() for c in batch.columns)):
         h = hashlib.blake2b(digest_size=16)
         for v in row:
+            if v is None:
+                h.update(_NULL_CELL)
+                continue
             if isinstance(v, str):
                 v = v.encode()
             elif not isinstance(v, bytes):

@@ -14,11 +14,17 @@ the map:
    these parallel tasks.
 2. **driver fold** (:func:`_fold`) — the partial blocks stream to the
    driver (``iter_batches``, or the ``partials`` checkpoint's row
-   groups) and are merged (:func:`_merge_arrow`) into one accumulator of
-   one row per key.  Blocks are buffered until they hold as many rows as
-   the accumulator, so the work is linear in partial rows and no merge
-   input exceeds 2 × the distinct keys + one block
+   groups) and are merged into one accumulator of one row per key.
+   Blocks are buffered until they hold as many rows as the accumulator,
+   so the work is linear in partial rows and no merge input exceeds
+   2 × the distinct keys + one block
    (``tests/test_canonicalize.py::test_hot_key_reducer_rows_bounded``).
+
+Each reduction has one merge kernel, one pyarrow hash ``group_by``,
+and the map-side combine is that merge over one-row partials: triples
+merge with :func:`_merge_arrow` (a linked row is support 1, or 0 for a
+null url, with its url as ``sources``), mentions with
+:func:`_count_merge` (a mention is a count of 1).
 
 :func:`fold_partials` is the pure ``Iterable[pa.Table] -> pa.Table``
 kernel; ``canonicalize_partials`` / ``canonicalize_triples`` /
@@ -26,12 +32,11 @@ kernel; ``canonicalize_partials`` / ``canonicalize_triples`` /
 result as a one-block, materialized Dataset (:func:`as_dataset`).  Every
 merge is associative (support and counts are sums; sources keep the
 ``sources_cap`` smallest distinct urls, a top-k monoid), so the output
-rows do not depend on block boundaries or arrival order;
-:func:`_merge_arrow` emits its rows sorted by key (the mentions fold is
-sorted by ``surface_norm``), so neither does their order.  Every grouping
-here is pyarrow's hash ``group_by``: the map-side combine, the merge and
-the mention counts.  The triple partials still carry a ``salt`` column (a
-hash of the first source url); nothing here reads it.
+rows do not depend on block boundaries or arrival order.  The merges
+emit rows in hash-group order; only the end of each fold sorts (by
+(subject, object, predicate), and by ``surface_norm`` for mentions), so
+neither does the output's row order.  The triple partials still carry a
+``salt`` column (a hash of the first source url); nothing here reads it.
 """
 
 from __future__ import annotations
@@ -109,10 +114,10 @@ def _topk_sources(
 def _empty_canonical(keys: list[str]) -> pa.Table:
     """Typed empty output (subject/object/predicate string, salt int32,
     support int64, sources list<string>) for the empty-input cases: a
-    zero-row ``_merge_arrow`` or ``partial_triple_agg_arrow`` call,
-    ``kg.edge_table`` with no block that has columns, and perfbench's
-    ``_part_tag_arrow``.  A typed empty keeps downstream concat/union
-    schemas aligned."""
+    zero-row ``_merge_arrow`` call (so also a zero-row
+    ``partial_triple_agg_arrow`` call), ``kg.edge_table`` with no block
+    that has columns, and perfbench's ``_part_tag_arrow``.  A typed empty
+    keeps downstream concat/union schemas aligned."""
     cols = {
         k: pa.array([], pa.int32() if k == "salt" else pa.string()) for k in keys
     }
@@ -122,12 +127,15 @@ def _empty_canonical(keys: list[str]) -> pa.Table:
 
 
 def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
-    """Arrow-native in-partition merge, sorted by ``keys``: one hash
-    ``group_by`` sums ``support`` and lists each group's row indices
-    (pyarrow 16's ``hash_list`` has no ``list<string>`` kernel), and those
-    rows' ``sources`` merge via the vectorized :func:`_topk_sources`.
-    Output columns: ``keys``, support (int64), sources (list<string>); a
-    typed empty for an empty table or one missing a column."""
+    """Arrow-native merge of partial rows: one hash ``group_by`` sums
+    ``support`` and lists each group's row indices (pyarrow 16's
+    ``hash_list`` has no ``list<string>`` kernel), and those rows'
+    ``sources`` merge via the vectorized :func:`_topk_sources`.  Output:
+    one row per key, in the order Arrow's single-threaded hash
+    ``group_by`` emits the groups (deterministic for a given input, but
+    not sorted; :func:`fold_partials` sorts), with columns ``keys``,
+    support (int64), sources (list<string>); a typed empty for an empty
+    table or one missing a column."""
     if tbl.num_rows == 0 or (
         {"support", "sources", *keys} - set(tbl.column_names)
     ):
@@ -137,7 +145,6 @@ def _merge_arrow(tbl: pa.Table, keys: list[str], sources_cap: int) -> pa.Table:
         .append_column("row", pa.array(np.arange(tbl.num_rows), pa.int64()))
         .group_by(keys, use_threads=False)
         .aggregate([("support", "sum"), ("row", "list")])
-        .sort_by([(k, "ascending") for k in keys])
     )
     rows = groups.column("row_list").combine_chunks()
     g_of_row = pc.list_parent_indices(rows).to_numpy()
@@ -184,41 +191,29 @@ def partial_triple_agg_arrow(
 ) -> pa.Table:
     """Arrow-native map-side combine: linked triple rows -> one partial
     row per (subject, object, predicate) per batch, salted by first
-    (ascending) source url.  The extractor/linker hand over Arrow, and the
-    partial leaves as Arrow."""
-    tbl = pa.table(
+    (ascending) source url.  Each linked row is a one-source partial
+    (support 1, or 0 when its url is null; sources ``[url]``) and the
+    combine is :func:`_merge_arrow` over them, so its rows come in
+    ``_merge_arrow``'s order.  The extractor/linker hand over Arrow, and
+    the partial leaves as Arrow."""
+    url = batch.column("url").combine_chunks()
+    offsets = pa.array(np.arange(len(url) + 1), pa.int32())
+    unit = pa.table(
         {
             "subject": batch.column("subj_label"),
             "object": batch.column("obj_label"),
             "predicate": batch.column("predicate"),
-            "url": batch.column("url"),
+            "support": pc.cast(pc.is_valid(url), pa.int64()),
+            "sources": pa.ListArray.from_arrays(offsets, url),
         }
     )
-    if tbl.num_rows == 0:
-        return _empty_canonical(TRIPLE_KEY + ["salt"]).select(
-            TRIPLE_KEY + ["support", "sources", "salt"]
-        )
-    agg = tbl.group_by(TRIPLE_KEY, use_threads=False).aggregate(
-        [("url", "list"), ("url", "count")]
-    )
-    ul = agg.column("url_list").combine_chunks()
-    urls = pc.list_flatten(ul)
-    g_of_url = pc.list_parent_indices(ul).to_numpy()
-    sources = _topk_sources(g_of_url, urls, agg.num_rows, sources_cap)
+    merged = _merge_arrow(unit, TRIPLE_KEY, sources_cap)
     # every group has >= 1 url, so offsets[:-1] index each group's first
     # (lexicographically smallest) source — the salt key
-    first_urls = sources.values.take(sources.offsets.slice(0, agg.num_rows))
+    sources = merged.column("sources").combine_chunks()
+    first_urls = sources.values.take(sources.offsets.slice(0, merged.num_rows))
     salt = _salt_vec(first_urls.to_numpy(zero_copy_only=False), num_salts)
-    return pa.table(
-        {
-            "subject": agg.column("subject"),
-            "object": agg.column("object"),
-            "predicate": agg.column("predicate"),
-            "support": pc.cast(agg.column("url_count"), pa.int64()),
-            "sources": sources,
-            "salt": pa.array(salt, pa.int32()),
-        }
-    )
+    return merged.append_column("salt", pa.array(salt, pa.int32()))
 
 
 # only perfbench's traced shuffle_layer reads this; it goes with salt (ROADMAP item 2)
@@ -253,13 +248,14 @@ def _fold(tables: Iterable[pa.Table], merge: Callable[[pa.Table], pa.Table]) -> 
 def fold_partials(tables: Iterable[pa.Table], sources_cap: int = 8) -> pa.Table:
     """Partial (or already canonical) edge tables -> one canonical edge
     table, sorted by (subject, object, predicate): :func:`_fold` with
-    :func:`_merge_arrow`.  Neither the rows nor their order depend on how
-    the input falls into tables."""
+    :func:`_merge_arrow`, then one sort, the only place triple rows are
+    sorted.  Neither the rows nor their order depend on how the input
+    falls into tables."""
     cols = TRIPLE_KEY + ["support", "sources"]
     return _fold(
         (t.select(cols) for t in tables if t.num_rows),
         lambda t: _merge_arrow(t, TRIPLE_KEY, sources_cap),
-    )
+    ).sort_by([(k, "ascending") for k in TRIPLE_KEY])
 
 
 def as_dataset(table: pa.Table) -> Dataset:
@@ -331,20 +327,16 @@ def canonicalize_mentions(
 
     Output: surface_norm, n_mentions (int64) and — when ``surface_index``
     is given — node_label (nullable), sorted by surface_norm, as a
-    one-block Dataset.  Each block is counted with a pyarrow ``group_by``
-    in tasks, then the counts are summed by :func:`_fold` with
-    :func:`_count_merge` on the driver.  ``node_label`` is functionally
-    dependent on ``surface_norm``, so it is looked up in the
-    (ontology-sized) ``surface_index`` after the fold.
+    one-block Dataset.  Each block is counted in tasks by
+    :func:`_count_merge` over counts of 1, then the counts are summed by
+    :func:`_fold` with the same :func:`_count_merge` on the driver.
+    ``node_label`` is functionally dependent on ``surface_norm``, so it is
+    looked up in the (ontology-sized) ``surface_index`` after the fold.
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by("surface_norm", use_threads=False).aggregate(
-            [([], "count_all")]
-        )
-        return agg.select(["surface_norm", "count_all"]).rename_columns(
-            ["surface_norm", "n_mentions"]
-        )
+        ones = pa.array(np.ones(batch.num_rows, np.int64))
+        return _count_merge(batch.select(["surface_norm"]).append_column("n_mentions", ones))
 
     partials = mentions.map_batches(partial, batch_format="pyarrow", batch_size=None)
     blocks = partials.iter_batches(batch_format="pyarrow", batch_size=None)

@@ -11,6 +11,7 @@ import pytest
 from climatemind_ontology_processing_ray.stages.canonicalize import (
     TRIPLE_KEY,
     _merge_arrow,
+    _salt_of,
     canonicalize_mentions,
     canonicalize_partials,
     canonicalize_triples,
@@ -204,7 +205,8 @@ def test_output_order_is_independent_of_block_order(ray_session, linked_blocks):
 
 def _merge_oracle(rows: list[dict], keys: list[str], cap: int) -> pa.Table:
     """``_merge_arrow`` in plain Python: per key, the support sum and the
-    ``cap`` smallest distinct urls in ascending order, rows sorted by key."""
+    ``cap`` smallest distinct urls in ascending order (a null url sorts
+    last, as in Arrow), rows sorted by key."""
     groups: dict[tuple, tuple[int, set]] = {}
     for r in rows:
         support, urls = groups.get(tuple(r[k] for k in keys), (0, set()))
@@ -216,7 +218,8 @@ def _merge_oracle(rows: list[dict], keys: list[str], cap: int) -> pa.Table:
     }
     cols["support"] = pa.array([support for _, (support, _) in out], pa.int64())
     cols["sources"] = pa.array(
-        [sorted(urls)[:cap] for _, (_, urls) in out], pa.list_(pa.string())
+        [sorted(urls, key=lambda u: (u is None, u or ""))[:cap] for _, (_, urls) in out],
+        pa.list_(pa.string()),
     )
     return pa.table(cols)
 
@@ -251,22 +254,87 @@ def _random_partials(rng, n: int, element_lists: bool) -> pa.Table:
     )
 
 
+def _by_key(tbl: pa.Table, keys: list[str]) -> pa.Table:
+    return tbl.sort_by([(k, "ascending") for k in keys])
+
+
 def test_merge_arrow_matches_python_oracle():
-    """``_merge_arrow`` equals the oracle, schema included (``sources`` is
-    ``list<item: string>`` whatever the input's item name), on random
-    tables with and without the int32 salt key and for caps 1, 3 and 8; a
-    table without rows or missing a column gives the typed empty."""
+    """``_merge_arrow``, sorted by key, equals the oracle, schema included
+    (``sources`` is ``list<item: string>`` whatever the input's item
+    name), on random tables with and without the int32 salt key and for
+    caps 1, 3 and 8; ``_merge_arrow`` leaves its rows in hash-group order,
+    so ``fold_partials`` over the table cut into tables and fed in a
+    shuffled order equals the oracle row for row; a table without rows or
+    missing a column gives the typed empty."""
     rng = np.random.default_rng(11)
     for i in range(240):
         tbl = _random_partials(rng, int(rng.integers(0, 301)), element_lists=bool(i % 2))
         keys = TRIPLE_KEY + (["salt"] if i % 3 == 0 else [])
         cap = (1, 3, 8)[i % 3]
         want = _merge_oracle(tbl.to_pylist(), keys, cap)
-        got = _merge_arrow(tbl, keys, cap)
+        got = _by_key(_merge_arrow(tbl, keys, cap), keys)
         assert got.schema.equals(want.schema), (i, got.schema)
         assert got.equals(want), i
+        if keys == TRIPLE_KEY:
+            cuts = np.sort(rng.integers(0, tbl.num_rows + 1, int(rng.integers(1, 6))))
+            pieces = [tbl.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, tbl.num_rows])]
+            shuffled = [pieces[j] for j in rng.permutation(len(pieces))]
+            assert fold_partials(shuffled, cap).equals(want), i
     tbl = _random_partials(rng, 50, element_lists=False)
     for keys in (TRIPLE_KEY, TRIPLE_KEY + ["salt"]):
         assert _merge_arrow(tbl.drop_columns(["sources"]), keys, 8).equals(
             _merge_oracle([], keys, 8)
         )
+
+
+def _random_linked(rng, n: int) -> pa.Table:
+    """``n`` linked triple rows in two chunks: few keys (empty and
+    non-ASCII labels), repeated and non-ASCII urls, and one null url."""
+    words = ["", "a", "é", "ß", "climate change"]
+    urls = [f"https://ü{int(u)}.example" for u in rng.integers(0, 6, n)]
+    if n:
+        urls[int(rng.integers(0, n))] = None
+    split = int(rng.integers(0, n + 1))
+
+    def col(values):
+        return pa.chunked_array([values[:split], values[split:]], pa.string())
+
+    return pa.table(
+        {
+            "url": col(urls),
+            "subj_label": col([str(w) for w in rng.choice(words, n)]),
+            "obj_label": col([str(w) for w in rng.choice(words[:3], n)]),
+            "predicate": col([str(w) for w in rng.choice(["causes", "is_a"], n)]),
+        }
+    )
+
+
+def test_map_side_combine_matches_python_oracle():
+    """``partial_triple_agg_arrow``, sorted by key, equals the merge oracle
+    over the batch's rows as one-url partials (support 1, or 0 for the
+    null url), schema aside from the trailing int32 ``salt``, for caps 1,
+    3 and 8 and for a zero-row batch; every row's salt is the salt of its
+    first source."""
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        batch = _random_linked(rng, 0 if i == 0 else int(rng.integers(1, 200)))
+        units = [
+            {
+                "subject": r["subj_label"],
+                "object": r["obj_label"],
+                "predicate": r["predicate"],
+                "support": int(r["url"] is not None),
+                "sources": [r["url"]],
+            }
+            for r in batch.to_pylist()
+        ]
+        for cap in (1, 3, 8):
+            got = partial_triple_agg_arrow(batch, 16, cap)
+            assert got.column_names == TRIPLE_KEY + ["support", "sources", "salt"]
+            assert got.schema.field("salt").type == pa.int32()
+            want = _merge_oracle(units, TRIPLE_KEY, cap)
+            assert _by_key(got, TRIPLE_KEY).drop_columns(["salt"]).equals(want), (i, cap)
+            for sources, salt in zip(
+                got.column("sources").to_pylist(), got.column("salt").to_pylist()
+            ):
+                assert salt == _salt_of(sources[0], 16), (i, cap)

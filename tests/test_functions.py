@@ -227,6 +227,17 @@ def test_graph_writers(tmp_path, snapshot, golden):
     assert all({"id", "name", "data", "adjacencies"} <= set(n) for n in jit)
 
 
+def test_read_edges_csv_rejects_a_wrong_header(tmp_path):
+    """A file whose header is not subject,object,predicate raises
+    ``ValueError``, also under ``python -O``."""
+    from climatemind_ontology_processing_ray.graph.writers import read_edges_csv
+
+    path = tmp_path / "edges.csv"
+    path.write_text("subject,predicate,object\na,causes,b\n")
+    with pytest.raises(ValueError, match="header"):
+        read_edges_csv(str(path))
+
+
 def test_dup_clusters_connected_components(ray_session):
     import ray.data
 

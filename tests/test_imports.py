@@ -24,3 +24,78 @@ def _raise(name):
     # walk_packages calls this inside its `except` when a subpackage fails
     # to import; without it an ImportError is skipped silently: re-raise
     raise
+
+
+def test_perfbench_core_names_resolve():
+    """The core names that ``perfbench/`` uses exist, read from its source
+    with ``ast`` (the benchmark's own tests import it and run in a process
+    of their own): every package import resolves, every attribute read on
+    an imported core module (``canon.<attr>``) exists, every attribute read
+    on ``cfg`` / ``self.cfg`` exists on ``KGConfig()``, and every keyword
+    argument passed to an imported core callable is in its signature."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    from climatemind_ontology_processing_ray.pipelines.kg import KGConfig
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sources = sorted(bench.glob("*.py"))
+    assert sources
+    cfg = KGConfig()
+    checked = {"names": 0, "module_attrs": 0, "cfg_attrs": 0, "keywords": 0}
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}  # local name -> core module or object
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == pkg.__name__:
+                        importlib.import_module(a.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] != pkg.__name__:
+                    continue
+                module = importlib.import_module(node.module)
+                for a in node.names:
+                    if hasattr(module, a.name):
+                        obj = getattr(module, a.name)
+                    else:
+                        obj = importlib.import_module(f"{node.module}.{a.name}")
+                    bound[a.asname or a.name] = obj
+                    checked["names"] += 1
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                obj = bound.get(node.value.id)
+                if inspect.ismodule(obj):
+                    assert hasattr(obj, node.attr), f"{where}: {node.value.id}.{node.attr}"
+                    checked["module_attrs"] += 1
+            if isinstance(node, ast.Attribute) and (
+                (isinstance(node.value, ast.Name) and node.value.id == "cfg")
+                or (
+                    isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "cfg"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id == "self"
+                )
+            ):
+                assert hasattr(cfg, node.attr), f"{where}: cfg.{node.attr}"
+                checked["cfg_attrs"] += 1
+            if isinstance(node, ast.Call) and node.keywords:
+                func = node.func
+                if isinstance(func, ast.Name):
+                    obj = bound.get(func.id)
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    obj = getattr(bound.get(func.value.id), func.attr, None)
+                else:
+                    obj = None
+                if obj is None or inspect.ismodule(obj) or not callable(obj):
+                    continue
+                params = inspect.signature(obj).parameters
+                if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                    continue
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        assert kw.arg in params, f"{where}: {kw.arg}= to {obj.__name__}"
+                        checked["keywords"] += 1
+    assert all(checked.values()), checked

@@ -159,6 +159,22 @@ def test_in_memory_corpus_fingerprint_covers_every_row(
     assert mgr.hits == []
 
 
+def test_digest_tells_a_null_from_the_string_none():
+    """``_digest_block`` hashes a null cell apart from every value: a
+    ``url`` that changes from null to ``"None"`` changes the digest, so a
+    corpus fingerprinted by its rows does not resume from the other's
+    checkpoint."""
+    import pyarrow as pa
+
+    from climatemind_ontology_processing_ray.pipelines.kg import _digest_block
+
+    def digest(urls):
+        return _digest_block(pa.table({"url": pa.array(urls, pa.string())}))
+
+    assert not digest([None, "x"]).equals(digest(["None", "x"]))
+    assert digest([None, "x"]).equals(digest(["x", None]))
+
+
 def test_output_config_invalidates_checkpoints(
     ray_session, snapshot, table, tmp_path_factory
 ):
