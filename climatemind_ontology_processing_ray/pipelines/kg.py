@@ -26,17 +26,19 @@
                                             enrichment, adjacency, outputs
                                             (``pipelines/api.py``)
 
-The first three steps fuse into one operator, and the pipeline is at most
-one Ray Data execution: that operator, consumed by the fold (an in-memory
-or transformed corpus with a checkpoint dir adds one digest pass,
-``corpus_fingerprint``).  Both checkpoints are written on the driver by
-``CheckpointManager.stream``; with or without a checkpoint dir the fold
-consumes the same stream.  ``run_kg_pipeline`` runs it at call time and
-returns the canonical edges as a driver-side table (``KGResult.edges``)
-and as a one-block Dataset (``KGResult.canonical_edges``, the
-reference's step-method surface, SURVEY §2.9).  Extracted text is not
-checkpointed: no resume reads it, and a rerun recomputes it from the
-pages.
+The first three steps fuse into one operator, with the read when it
+does not split (``runtime.configure_data_context`` sets its floor, and
+``KGConfig.batch_size = None`` gives the maps whole blocks), and the
+pipeline is at most one Ray Data execution: that operator, consumed by
+the fold (an in-memory or transformed corpus with a checkpoint dir adds
+one digest pass, ``corpus_fingerprint``).  Both checkpoints are written
+on the driver by ``CheckpointManager.stream``; with or without a
+checkpoint dir the fold consumes the same stream.  ``run_kg_pipeline``
+runs it at call time and returns the canonical edges as a driver-side
+table (``KGResult.edges``) and as a one-block Dataset
+(``KGResult.canonical_edges``, the reference's step-method surface,
+SURVEY §2.9).  Extracted text is not checkpointed: no resume reads it,
+and a rerun recomputes it from the pages.
 """
 
 from __future__ import annotations
@@ -68,7 +70,10 @@ RUN_KEY = "v2"
 
 @dataclass
 class KGConfig:
-    batch_size: int = 1024
+    # rows per front-end batch; None hands each map a whole read block,
+    # which lets the read fuse into the front end's one operator (Ray
+    # does not fuse a read into a map that asks for a row count)
+    batch_size: int | None = None
     link_threshold: float = 0.85
     num_salts: int = 16
     sources_cap: int = 8
@@ -101,7 +106,12 @@ class KGResult:
     def stats(self) -> str:
         """Per-operator wall/cpu/memory breakdown of the executed front end
         (Ray Data ``Dataset.stats()``) — the observability hook used to tune
-        block and batch sizes — and one line for the driver fold."""
+        block and batch sizes — and one line for the driver fold.  A cold
+        run over a Parquet read of at least as many files as 2 x the
+        cluster's CPUs shows one operator, ``ReadParquet->MapBatches(keep)->
+        MapBatches(extract_pages_batch)->MapBatches(fn)``, of one task per
+        read block; a read of fewer files splits and shows as its own
+        operator (``ReadParquet->SplitBlocks(k)``) ahead of the map."""
         if self.front_end is None:
             front = "Front end: not run (checkpoint hit)"
         else:

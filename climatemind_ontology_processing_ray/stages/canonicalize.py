@@ -22,9 +22,10 @@ the map:
 
 Each reduction has one merge kernel, one pyarrow hash ``group_by``,
 and the map-side combine is that merge over one-row partials: triples
-merge with :func:`_merge_arrow` (a linked row is support 1, or 0 for a
-null url, with its url as ``sources``), mentions with
-:func:`_count_merge` (a mention is a count of 1).
+merge with :func:`_merge_arrow` (a linked row is support 1 with its url
+as ``sources``, or support 0 for a null url, which the merge drops from
+``sources``), mentions with :func:`_count_merge` (a mention is a count
+of 1).
 
 :func:`fold_partials` is the pure ``Iterable[pa.Table] -> pa.Table``
 kernel; ``canonicalize_partials`` / ``canonicalize_triples`` /
@@ -76,13 +77,16 @@ def _salt_of(value: str, num_salts: int) -> int:
 def _topk_sources(
     g_of_url: np.ndarray, urls, ngroups: int, cap: int
 ) -> pa.ListArray:
-    """Per-group DISTINCT-ascending-top-``cap`` urls -> ``list<string>``
-    column of length ``ngroups`` — the sources monoid, fully vectorized
-    (one Arrow sort over the exploded (group, url) pairs + numpy
-    segment ops; no per-group Python).  Groups with no urls get ``[]``."""
-    pairs = pa.table(
-        {"g": pa.array(g_of_url, pa.int64()), "u": urls}
-    ).sort_by([("g", "ascending"), ("u", "ascending")])
+    """Per-group DISTINCT-ascending-top-``cap`` non-null urls ->
+    ``list<string>`` column of length ``ngroups`` — the sources monoid,
+    fully vectorized (one Arrow sort over the exploded (group, url) pairs
+    + numpy segment ops; no per-group Python).  Null urls are dropped
+    before the sort, as ``support`` does not count them either; groups
+    with no urls get ``[]``."""
+    pairs = pa.table({"g": pa.array(g_of_url, pa.int64()), "u": urls})
+    pairs = pairs.filter(pc.is_valid(pairs.column("u"))).sort_by(
+        [("g", "ascending"), ("u", "ascending")]
+    )
     gs = pairs.column("g").to_numpy()
     us = pairs.column("u").combine_chunks()
     m = len(gs)
@@ -191,9 +195,10 @@ def partial_triple_agg_arrow(
 ) -> pa.Table:
     """Arrow-native map-side combine: linked triple rows -> one partial
     row per (subject, object, predicate) per batch, salted by first
-    (ascending) source url.  Each linked row is a one-source partial
-    (support 1, or 0 when its url is null; sources ``[url]``) and the
-    combine is :func:`_merge_arrow` over them, so its rows come in
+    (ascending) source url, or by ``""`` when every url of the key is
+    null.  Each linked row is a one-source partial (support 1, or 0 when
+    its url is null; sources ``[url]``, where the merge drops a null) and
+    the combine is :func:`_merge_arrow` over them, so its rows come in
     ``_merge_arrow``'s order.  The extractor/linker hand over Arrow, and
     the partial leaves as Arrow."""
     url = batch.column("url").combine_chunks()
@@ -208,10 +213,16 @@ def partial_triple_agg_arrow(
         }
     )
     merged = _merge_arrow(unit, TRIPLE_KEY, sources_cap)
-    # every group has >= 1 url, so offsets[:-1] index each group's first
-    # (lexicographically smallest) source — the salt key
+    # offsets[:-1] index each group's first (lexicographically smallest)
+    # source — the salt key; a group whose urls are all null has no
+    # source and takes the salt of ""
     sources = merged.column("sources").combine_chunks()
-    first_urls = sources.values.take(sources.offsets.slice(0, merged.num_rows))
+    starts = pc.if_else(
+        pc.greater(pc.list_value_length(sources), 0),
+        sources.offsets.slice(0, merged.num_rows),
+        pa.scalar(None, pa.int32()),
+    )
+    first_urls = pc.fill_null(sources.values.take(starts), "")
     salt = _salt_vec(first_urls.to_numpy(zero_copy_only=False), num_salts)
     return merged.append_column("salt", pa.array(salt, pa.int32()))
 

@@ -15,10 +15,12 @@ Use as::
 
     pages.map_batches(
         per_worker(MentionDetector, snap.to_json()),   # stages/fused.py
-        batch_format="pyarrow", batch_size=512,
+        batch_format="pyarrow", batch_size=None,
     )
 
-so the pattern is built once per worker process, never per batch.
+so the pattern is built once per worker process, never per batch, and
+each call gets a whole block (a map that asks for a row count keeps a
+read from fusing into it).
 """
 
 from __future__ import annotations

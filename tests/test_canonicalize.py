@@ -205,12 +205,13 @@ def test_output_order_is_independent_of_block_order(ray_session, linked_blocks):
 
 def _merge_oracle(rows: list[dict], keys: list[str], cap: int) -> pa.Table:
     """``_merge_arrow`` in plain Python: per key, the support sum and the
-    ``cap`` smallest distinct urls in ascending order (a null url sorts
-    last, as in Arrow), rows sorted by key."""
+    ``cap`` smallest distinct non-null urls in ascending order, rows
+    sorted by key."""
     groups: dict[tuple, tuple[int, set]] = {}
     for r in rows:
         support, urls = groups.get(tuple(r[k] for k in keys), (0, set()))
-        groups[tuple(r[k] for k in keys)] = (support + r["support"], urls | set(r["sources"]))
+        valid = {u for u in r["sources"] if u is not None}
+        groups[tuple(r[k] for k in keys)] = (support + r["support"], urls | valid)
     out = sorted(groups.items())
     cols = {
         k: pa.array([key[i] for key, _ in out], pa.int32() if k == "salt" else pa.string())
@@ -218,7 +219,7 @@ def _merge_oracle(rows: list[dict], keys: list[str], cap: int) -> pa.Table:
     }
     cols["support"] = pa.array([support for _, (support, _) in out], pa.int64())
     cols["sources"] = pa.array(
-        [sorted(urls, key=lambda u: (u is None, u or ""))[:cap] for _, (_, urls) in out],
+        [sorted(urls)[:cap] for _, (_, urls) in out],
         pa.list_(pa.string()),
     )
     return pa.table(cols)
@@ -312,9 +313,10 @@ def _random_linked(rng, n: int) -> pa.Table:
 def test_map_side_combine_matches_python_oracle():
     """``partial_triple_agg_arrow``, sorted by key, equals the merge oracle
     over the batch's rows as one-url partials (support 1, or 0 for the
-    null url), schema aside from the trailing int32 ``salt``, for caps 1,
-    3 and 8 and for a zero-row batch; every row's salt is the salt of its
-    first source."""
+    null url, which no ``sources`` keeps), schema aside from the trailing
+    int32 ``salt``, for caps 1, 3 and 8 and for a zero-row batch; every
+    row's salt is the salt of its first source, or of ``""`` when it has
+    none."""
     rng = np.random.default_rng(23)
     for i in range(60):
         batch = _random_linked(rng, 0 if i == 0 else int(rng.integers(1, 200)))
@@ -337,4 +339,37 @@ def test_map_side_combine_matches_python_oracle():
             for sources, salt in zip(
                 got.column("sources").to_pylist(), got.column("salt").to_pylist()
             ):
-                assert salt == _salt_of(sources[0], 16), (i, cap)
+                assert salt == _salt_of(sources[0] if sources else "", 16), (i, cap)
+
+
+def _linked(urls: list) -> pa.Table:
+    """Linked rows of one triple, one per url."""
+    n = len(urls)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "subj_label": ["global warming"] * n,
+            "obj_label": ["sea level rise"] * n,
+            "predicate": ["causes_or_promotes"] * n,
+        }
+    )
+
+
+def test_null_urls_are_not_sources():
+    """A null url counts toward no ``support`` and is no source: three
+    rows ``[None, None, "a"]`` on one triple give support 1 and sources
+    ``["a"]``; a triple whose urls are all null gives support 0, sources
+    ``[]`` and the salt of ``""``, in the map-side combine and in the
+    fold."""
+    for urls, support, sources in (
+        ([None, None, "a"], 1, ["a"]),
+        ([None, "b", None, "a", "b"], 3, ["a", "b"]),
+        ([None, None], 0, []),
+    ):
+        got = partial_triple_agg_arrow(_linked(urls), 16, SOURCES_CAP)
+        assert got.column("support").to_pylist() == [support], urls
+        assert got.column("sources").to_pylist() == [sources], urls
+        assert got.column("salt").to_pylist() == [_salt_of((sources or [""])[0], 16)], urls
+        folded = fold_partials([got, got], SOURCES_CAP)
+        assert folded.column("support").to_pylist() == [2 * support], urls
+        assert folded.column("sources").to_pylist() == [sources], urls

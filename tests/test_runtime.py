@@ -1,14 +1,18 @@
 """The executor settings of ``runtime.configure_data_context``: the heavy
-map is not starved, and a split read does not stall the scheduling loop.
-Both rely on ray 2.49 executor internals, so a Ray upgrade that drops
-either hook fails here instead of running unbounded."""
+map is not starved, a split read does not stall the scheduling loop, and
+a read of enough files fuses into the front end.  All rely on ray 2.49
+executor internals, so a Ray upgrade that drops a hook fails here
+instead of running unbounded."""
 
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
+
+import pyarrow.parquet as pq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -116,3 +120,42 @@ def test_heavy_map_is_not_starved(ray_session):
         running += step
         peak = max(peak, running)
     assert peak >= 4, peak
+
+
+def test_cold_front_end_is_one_operator(ray_session, snapshot, tmp_path):
+    """A read of as many files as the read is sized at (2 x the session's
+    8 CPUs) fuses into the front end: with the default ``KGConfig()`` a
+    cold run of 3,000 pages in 16 Parquet files is one operator,
+    ``ReadParquet->...``.  Its edge table equals the one from 64-row
+    batches and the one from the same rows in 4 files, whose read splits
+    and stays its own operator: the edges do not depend on the block
+    layout."""
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines.kg import KGConfig, run_kg_pipeline
+    from climatemind_ontology_processing_ray.sources.pages import generate_pages
+
+    table, _ = generate_pages(snapshot, 3000, seed=7)
+
+    def write(n_files: int) -> str:
+        out = tmp_path / f"files{n_files}"
+        out.mkdir()
+        rows = -(-table.num_rows // n_files)
+        for i in range(n_files):
+            pq.write_table(table.slice(i * rows, rows), out / f"pages-{i:02d}.parquet")
+        return str(out)
+
+    def operators(res) -> list[str]:
+        return re.findall(r"^Operator \d+ (\S+):", res.stats(), re.M)
+
+    sixteen = write(16)
+    fused = run_kg_pipeline(ray.data.read_parquet(sixteen), snapshot, KGConfig())
+    ops = operators(fused)
+    assert len(ops) == 1 and ops[0].startswith("ReadParquet->"), fused.stats()
+    assert fused.edges.num_rows > 0
+
+    batched = run_kg_pipeline(ray.data.read_parquet(sixteen), snapshot, KGConfig(batch_size=64))
+    split = run_kg_pipeline(ray.data.read_parquet(write(4)), snapshot, KGConfig())
+    assert len(operators(split)) == 2, split.stats()
+    assert fused.edges.equals(batched.edges)
+    assert fused.edges.equals(split.edges)
