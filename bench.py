@@ -125,7 +125,7 @@ def run_bench() -> dict:
     for _trial in range(n_trials):
         t0 = time.perf_counter()
         pages = rd.read_parquet(pages_path, override_num_blocks=n_blocks)
-        res = run_kg_pipeline(pages, snap, KGConfig(batch_size=4096))
+        res = run_kg_pipeline(pages, snap, KGConfig())
         n_edges = 0
         n_triples = 0
         for row in res.canonical_edges.take_all():

@@ -9,8 +9,7 @@ cited by file:line throughout) as an idiomatic Ray Data pipeline:
       -> lang filter                      [vectorized predicate on the raw
                                            pages: other languages are never
                                            extracted]
-      -> map_batches(extract_pages_batch) [stateless, zero-copy Arrow; then
-                                           the quality filter, when set]
+      -> map_batches(extract_pages_batch) [stateless, zero-copy Arrow]
       -> map_batches(PageToTriplePartials)
                                           [stateless tasks, one operator with
                                            the two above; automaton + ontology

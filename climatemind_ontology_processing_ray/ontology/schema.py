@@ -175,7 +175,8 @@ class OntologySnapshot:
 
     @classmethod
     def load(cls, path: str) -> "OntologySnapshot":
-        with open(path) as f:
+        # utf-8-sig: a file that starts with a byte-order mark loads too
+        with open(path, encoding="utf-8-sig") as f:
             return cls.from_json(f.read())
 
 

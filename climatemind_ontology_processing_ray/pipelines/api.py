@@ -32,7 +32,7 @@ from ..graph.writers import write_all_artifacts
 from ..ontology.fixture import build_fixture_snapshot
 from ..ontology.schema import OntologySnapshot
 from ..stages.adjacency import adjacency_table
-from ..stages.canonicalize import as_dataset
+from ..stages.canonicalize import SOURCES_CAP, as_dataset
 from .kg import (
     KGConfig,
     _digest_block,
@@ -86,9 +86,7 @@ def output_edges(
 
 
 def extract_mentions(
-    pages: Dataset,
-    snapshot: OntologySnapshot | str | None = None,
-    cfg: KGConfig | None = None,
+    pages: Dataset, snapshot: OntologySnapshot | str | None = None
 ) -> Dataset:
     """The mentions table of SURVEY §1.3: pages -> extracted text -> mention
     rows (url, sent_id, surface, surface_norm, node_label, span_start/end)
@@ -96,16 +94,15 @@ def extract_mentions(
     from ..stages.fused import per_worker
     from ..stages.mentions import MentionDetector
 
-    cfg = cfg or KGConfig()
     snap = _load_snapshot(snapshot)
-    return extract_pages(pages, cfg).map_batches(
-        per_worker(MentionDetector, snap.to_json()),
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
+    return extract_pages(pages).map_batches(
+        per_worker(MentionDetector, snap.to_json()), batch_format="pyarrow"
     )
 
 
-def merge_canonical_edges(existing: Dataset, new: Dataset, sources_cap: int = 8) -> Dataset:
+def merge_canonical_edges(
+    existing: Dataset, new: Dataset, sources_cap: int = SOURCES_CAP
+) -> Dataset:
     """Incremental ingest: merge a new crawl batch's canonical edges into an
     existing canonical edge table (support counts add, source sets union).
 
@@ -138,9 +135,10 @@ def _publish_key(edges_key: str, edges: pa.Table, emit_mentions: bool) -> str:
     """What the published outputs depend on: the ``canonical_edges``
     checkpoint's run key (which folds in the corpus, ontology and config
     fingerprints that ``mentions`` also depends on), a digest of every cell
-    of the edge table (blind to row order and to the checkpoint's file
-    names, which carry a per-write uuid), ``emit_mentions`` and the
-    package version."""
+    of the edge table, ``emit_mentions`` and the package version.  The
+    digest reads the edges, not the checkpoint's part files: it is blind
+    to row order and to how rows fall into parts, so a checkpoint dir
+    cleared and recomputed to the same edges keeps the key."""
     from .. import __version__
 
     payload = {
@@ -223,6 +221,6 @@ def process_pages(
     paths["nodes"] = _write_table(nodes_table(art), os.path.join(staging, "nodes"))
     if emit_mentions:
         paths["mentions"] = os.path.join(staging, "mentions")
-        extract_mentions(pages, snap, cfg).write_parquet(paths["mentions"])
+        extract_mentions(pages, snap).write_parquet(paths["mentions"])
     publish.seal(staging, key, paths)
     return art, publish.resolve(output_dir, publish.commit(output_dir, staging, _OUTPUTS))

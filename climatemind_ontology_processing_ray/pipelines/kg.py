@@ -7,8 +7,6 @@
                                             never extracted
       -> map_batches(extract_pages_batch)   stateless tasks, zero-copy Arrow,
                                             html column dropped immediately
-                                            (then the ``min_text_chars``
-                                            filter, when set)
       -> map_batches(PageToTriplePartials)  stateless tasks, per-worker
                                             automaton + index: extract,
                                             link and map-side combine
@@ -28,7 +26,7 @@
 
 The first three steps fuse into one operator, with the read when it
 does not split (``runtime.configure_data_context`` sets its floor, and
-``KGConfig.batch_size = None`` gives the maps whole blocks), and the
+the maps take whole blocks), and the
 pipeline is at most one Ray Data execution: that operator, consumed by
 the fold (an in-memory or transformed corpus with a checkpoint dir adds
 one digest pass, ``corpus_fingerprint``).  Both checkpoints are written
@@ -48,16 +46,20 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset, Schema
-from ray.data._internal.logical.operators.read_operator import Read
+from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
 from ..ontology.schema import OntologySnapshot
-from ..stages.canonicalize import TRIPLE_KEY, _empty_canonical, as_dataset, fold_partials
+from ..stages.canonicalize import (
+    NUM_SALTS, SOURCES_CAP, TRIPLE_KEY, _empty_canonical, as_dataset, fold_partials,
+)
 from ..stages.fused import make_fused_partials_fn
+from ..stages.link import LINK_THRESHOLD
 from ..state.checkpoint import CheckpointManager
 from .. import stages as S
 
@@ -66,22 +68,21 @@ from .. import stages as S
 # makes every checkpoint written under an older one miss (v2: parts keep
 # Arrow's ``item`` list naming)
 RUN_KEY = "v2"
+KEEP_LANGS = ("en",)  # the languages whose pages the engine reads
 
 
 @dataclass
 class KGConfig:
-    # rows per front-end batch; None hands each map a whole read block,
-    # which lets the read fuse into the front end's one operator (Ray
-    # does not fuse a read into a map that asks for a row count)
-    batch_size: int | None = None
-    link_threshold: float = 0.85
-    num_salts: int = 16
-    sources_cap: int = 8
-    keep_langs: tuple[str, ...] = ("en",)
     checkpoint_dir: str | None = None
-    # quality gate: pages whose extracted text is shorter are dropped with
-    # the language filter (0 disables)
-    min_text_chars: int = 0
+    # the engine's fixed recipe: constants, not fields, readable as
+    # ``cfg.<name>`` because perfbench and the operator registry read them
+    # there (whole read blocks per map, no text-length gate)
+    batch_size: ClassVar[int | None] = None
+    link_threshold: ClassVar[float] = LINK_THRESHOLD
+    num_salts: ClassVar[int] = NUM_SALTS
+    sources_cap: ClassVar[int] = SOURCES_CAP
+    keep_langs: ClassVar[tuple[str, ...]] = KEEP_LANGS
+    min_text_chars: ClassVar[int] = 0
 
 
 @dataclass
@@ -106,7 +107,7 @@ class KGResult:
     def stats(self) -> str:
         """Per-operator wall/cpu/memory breakdown of the executed front end
         (Ray Data ``Dataset.stats()``) — the observability hook used to tune
-        block and batch sizes — and one line for the driver fold.  A cold
+        read block sizes — and one line for the driver fold.  A cold
         run over a Parquet read of at least as many files as 2 x the
         cluster's CPUs shows one operator, ``ReadParquet->MapBatches(keep)->
         MapBatches(extract_pages_batch)->MapBatches(fn)``, of one task per
@@ -151,21 +152,15 @@ def lang_filter(
     return extracted.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def extract_pages(pages: Dataset, cfg: KGConfig) -> Dataset:
-    """pages -> lang filter -> extracted text -> quality filter, lazy: the
-    front of the one front-end operator (and of ``api.extract_mentions``).
-    The language mask reads only ``lang``, so it runs on the raw pages and
-    pages in other languages are never extracted; ``min_text_chars`` reads
-    the extracted text and runs after."""
-    ds = lang_filter(pages, cfg.keep_langs).map_batches(
-        S.extract_pages_batch,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.batch_size,
+def extract_pages(pages: Dataset) -> Dataset:
+    """pages -> lang filter -> extracted text, lazy: the front of the one
+    front-end operator (and of ``api.extract_mentions``).  The language
+    mask reads only ``lang``, so it runs on the raw pages and pages in
+    other languages are never extracted.  The maps take whole blocks: Ray
+    does not fuse a read into a map that asks for a row count."""
+    return lang_filter(pages, KEEP_LANGS).map_batches(
+        S.extract_pages_batch, batch_format="pyarrow", zero_copy_batch=True
     )
-    if cfg.min_text_chars:
-        ds = lang_filter(ds, cfg.keep_langs, cfg.min_text_chars)
-    return ds
 
 
 _DIGEST_MOD = 1 << 128
@@ -202,13 +197,19 @@ def _digest_block(batch: pa.Table) -> pa.Table:
 
 
 def corpus_fingerprint(pages: Dataset) -> str:
-    """The corpus part of the run key.  A plan that is a file read alone
-    is fingerprinted by its file list plus each file's (size, mtime in ns).
-    Any other plan (in-memory, mapped or limited) by its schema and a
-    row-order-independent digest of every cell: one pass of
-    ``_digest_block`` tasks, combined on the driver (the schema comes from
-    the same pass: ``Dataset.schema()`` would run a mapped plan again)."""
-    if isinstance(pages._logical_plan.dag, Read):
+    """The corpus part of the run key.  A plan that is a plain Parquet
+    read alone (no row filter, column selection, schema, path column or
+    block transform) is fingerprinted by its file list plus each file's
+    (size, mtime in ns).  Any other plan (in-memory, mapped, limited, or a
+    read with such an option) by its schema and a row-order-independent
+    digest of every cell: one pass of ``_digest_block`` tasks, combined on
+    the driver (the schema comes from the same pass: ``Dataset.schema()``
+    would run a mapped plan again)."""
+    src = getattr(pages._logical_plan.dag, "_datasource", None)
+    if isinstance(src, ParquetDatasource) and not (
+        src._to_batches_kwargs or src._data_columns is not None or src._block_udf
+        or src._read_schema is not None or src._include_paths
+    ):
         stats = []
         for f in sorted(pages.input_files()):
             try:
@@ -239,20 +240,16 @@ def run_kg_pipeline(
     # (self-contained; for genuinely large snapshots switch to ray.put)
     snapshot_json = snap.to_json()
     # guard against stale-checkpoint reuse: fold a fingerprint of the input
-    # corpus, the ontology snapshot and the config fields that change the
+    # corpus, the ontology snapshot and the recipe values that change the
     # output into the manifest key, so a different corpus, ontology or
-    # config recomputes instead of resuming (and, through the publish key,
-    # does not return another run's published outputs).  ``batch_size``
-    # and ``num_salts`` do not change the canonical edges and stay out.
+    # recipe recomputes instead of resuming (and, through the publish key,
+    # does not return another run's published outputs).  ``num_salts``
+    # does not change the canonical edges and stays out; the 0 is the
+    # retired text-length gate, kept so that earlier keys still match.
     # Only computed when checkpointing is on — without it the pages are
     # read once, by the front end.
     if cfg.checkpoint_dir:
-        output_cfg = (
-            tuple(cfg.keep_langs),
-            cfg.min_text_chars,
-            cfg.link_threshold,
-            cfg.sources_cap,
-        )
+        output_cfg = (KEEP_LANGS, 0, cfg.link_threshold, cfg.sources_cap)
         fp = hashlib.sha1(
             (corpus_fingerprint(pages) + snapshot_json + repr(output_cfg)).encode()
         ).hexdigest()[:12]
@@ -262,7 +259,7 @@ def run_kg_pipeline(
 
     # stateless tasks with per-worker cached state: fuses with the
     # read/extract/filter chain into ONE operator (see fused.py)
-    front_end = extract_pages(pages, cfg).map_batches(
+    front_end = extract_pages(pages).map_batches(
         make_fused_partials_fn(
             snapshot_json=snapshot_json,
             threshold=cfg.link_threshold,
@@ -270,7 +267,6 @@ def run_kg_pipeline(
             sources_cap=cfg.sources_cap,
         ),
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
     )
     fold = None
 

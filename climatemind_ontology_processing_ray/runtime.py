@@ -60,9 +60,9 @@ It sets four things, all ray 2.49 executor internals.
    floor of 1 leaves 2 x the cluster's CPUs (or the block-size bound) as
    the size, so the floor need not read the cluster: any floor up to
    2 x its CPUs, the CPU count included, gives the same size.  A read of
-   at least that many files does not split, and with whole-block maps
-   (``KGConfig.batch_size = None``; Ray does not fuse a read into a map
-   that asks for a row count) it fuses into the front end:
+   at least that many files does not split, and since the front end's
+   maps take whole blocks (no ``batch_size``: Ray does not fuse a read
+   into a map that asks for a row count) it fuses into the front end:
    ``ReadParquet->MapBatches(keep)->MapBatches(extract_pages_batch)->
    MapBatches(fn)``, one task per read block.  On the 10,000-page
    ``crawl_ingest`` corpora of seeds 4911 and 4913 (4 files, 1 CPU) the

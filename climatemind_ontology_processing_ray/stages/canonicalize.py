@@ -53,6 +53,8 @@ import ray.data
 from ray.data import Dataset
 
 TRIPLE_KEY = ["subject", "object", "predicate"]
+SOURCES_CAP = 8  # source urls kept per canonical edge
+NUM_SALTS = 16  # the salt's modulus
 
 
 def _salt_vec(values, num_salts: int) -> np.ndarray:
@@ -191,7 +193,7 @@ def _part_tag_arrow(batch: pa.Table, cols: list[str], num_parts: int) -> pa.Tabl
 
 
 def partial_triple_agg_arrow(
-    batch: pa.Table, num_salts: int = 16, sources_cap: int = 8
+    batch: pa.Table, num_salts: int = NUM_SALTS, sources_cap: int = SOURCES_CAP
 ) -> pa.Table:
     """Arrow-native map-side combine: linked triple rows -> one partial
     row per (subject, object, predicate) per batch, salted by first
@@ -256,7 +258,7 @@ def _fold(tables: Iterable[pa.Table], merge: Callable[[pa.Table], pa.Table]) -> 
     return acc if acc is not None else merge(pa.table({}))
 
 
-def fold_partials(tables: Iterable[pa.Table], sources_cap: int = 8) -> pa.Table:
+def fold_partials(tables: Iterable[pa.Table], sources_cap: int = SOURCES_CAP) -> pa.Table:
     """Partial (or already canonical) edge tables -> one canonical edge
     table, sorted by (subject, object, predicate): :func:`_fold` with
     :func:`_merge_arrow`, then one sort, the only place triple rows are
@@ -281,7 +283,7 @@ def as_dataset(table: pa.Table) -> Dataset:
     return ray.data.from_arrow(table).materialize()
 
 
-def canonicalize_partials(partials: Dataset, sources_cap: int = 8) -> Dataset:
+def canonicalize_partials(partials: Dataset, sources_cap: int = SOURCES_CAP) -> Dataset:
     """Partial (or already canonical) edge rows -> canonical edge table:
     :func:`fold_partials` on the driver over the blocks of ``partials`` as
     they stream in (one Ray Data execution), returned as a one-block
@@ -292,8 +294,8 @@ def canonicalize_partials(partials: Dataset, sources_cap: int = 8) -> Dataset:
 
 def canonicalize_triples(
     linked: Dataset,
-    num_salts: int = 16,
-    sources_cap: int = 8,
+    num_salts: int = NUM_SALTS,
+    sources_cap: int = SOURCES_CAP,
 ) -> Dataset:
     """linked triples -> canonical edge table.
 

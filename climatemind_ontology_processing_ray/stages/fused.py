@@ -15,7 +15,7 @@ A custom front end is a composition, not a config knob (SURVEY §2.9): a
 UDF that turns extracted pages into triple partials (say a
 ``TripleExtractor`` subclass, then ``EntityLinker`` and
 ``partial_triple_agg_arrow``) runs as
-``extract_pages(pages, cfg).map_batches(per_worker(MyUDF, ...))``, and
+``extract_pages(pages).map_batches(per_worker(MyUDF, ...))``, and
 ``canonicalize_partials`` folds its output on the driver.
 """
 
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .canonicalize import partial_triple_agg_arrow
-from .link import EntityLinker
+from .canonicalize import NUM_SALTS, SOURCES_CAP, partial_triple_agg_arrow
+from .link import LINK_THRESHOLD, EntityLinker
 from .triples import TripleExtractor
 
 # process-global cache: one instance per (class, args) per worker process —
@@ -53,7 +53,7 @@ class ExtractLink:
     """pages(extracted_text) -> linked triple rows
     (url, subj_surface, obj_surface, predicate, subj_label, obj_label)."""
 
-    def __init__(self, snapshot_json: str, threshold: float = 0.85):
+    def __init__(self, snapshot_json: str, threshold: float = LINK_THRESHOLD):
         self.extractor = TripleExtractor(snapshot_json=snapshot_json)
         self.linker = EntityLinker(snapshot_json=snapshot_json, threshold=threshold)
 
@@ -67,9 +67,9 @@ class PageToTriplePartials(ExtractLink):
     def __init__(
         self,
         snapshot_json: str,
-        threshold: float = 0.85,
-        num_salts: int = 16,
-        sources_cap: int = 8,
+        threshold: float = LINK_THRESHOLD,
+        num_salts: int = NUM_SALTS,
+        sources_cap: int = SOURCES_CAP,
     ):
         super().__init__(snapshot_json, threshold)
         self.num_salts = num_salts
@@ -84,9 +84,9 @@ class PageToTriplePartials(ExtractLink):
 
 def make_fused_partials_fn(
     snapshot_json: str,
-    threshold: float = 0.85,
-    num_salts: int = 16,
-    sources_cap: int = 8,
+    threshold: float = LINK_THRESHOLD,
+    num_salts: int = NUM_SALTS,
+    sources_cap: int = SOURCES_CAP,
 ):
     """``PageToTriplePartials`` as a stateless task fn (``per_worker``)."""
     return per_worker(PageToTriplePartials, snapshot_json, threshold, num_salts, sources_cap)

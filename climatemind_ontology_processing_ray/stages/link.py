@@ -25,6 +25,8 @@ import pyarrow as pa
 
 from ..ontology.schema import OntologySnapshot, normalize_surface
 
+LINK_THRESHOLD = 0.85  # the least link score that keeps a row
+
 
 class EntityLinker:
     """pre-link triples -> linked triples.
@@ -33,7 +35,7 @@ class EntityLinker:
     link at >= threshold.
     """
 
-    def __init__(self, snapshot_json: str, threshold: float = 0.85):
+    def __init__(self, snapshot_json: str, threshold: float = LINK_THRESHOLD):
         self.index = OntologySnapshot.from_json(snapshot_json).surface_index()
         self.threshold = threshold
 

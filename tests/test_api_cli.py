@@ -12,7 +12,7 @@ from climatemind_ontology_processing_ray.pipelines.api import output_edges, proc
 from climatemind_ontology_processing_ray.pipelines.kg import KGConfig
 from climatemind_ontology_processing_ray.sources.pages import generate_pages
 
-CFG = KGConfig(batch_size=64)
+CFG = KGConfig()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -113,7 +113,7 @@ def test_custom_extractor_extension(ray_session, snapshot):
 
     table, _ = generate_pages(snapshot, 150, seed=13)
     pages = ray.data.from_arrow(table).repartition(2)
-    partials = extract_pages(pages, CFG).map_batches(
+    partials = extract_pages(pages).map_batches(
         per_worker(OnlyCausesPartials, snapshot.to_json()), batch_format="pyarrow"
     )
     rows = canonicalize_partials(partials).take_all()

@@ -100,7 +100,7 @@ def test_null_columns_handled(ray_session):
     rows = run_kg_pipeline(
         pages,
         snap,
-        KGConfig(batch_size=8),
+        KGConfig(),
     ).canonical_edges.take_all()
     assert {(r["subject"], r["object"], r["predicate"]) for r in rows} == {
         ("increase in greenhouse effect", "global warming", "causes_or_promotes")

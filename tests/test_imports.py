@@ -99,3 +99,61 @@ def test_perfbench_core_names_resolve():
                         assert kw.arg in params, f"{where}: {kw.arg}= to {obj.__name__}"
                         checked["keywords"] += 1
     assert all(checked.values()), checked
+
+
+def test_config_surface_is_one_field_and_defaults_name_their_constants():
+    """``KGConfig`` has one settable field, ``checkpoint_dir``; the recipe
+    values are constants that it exposes as class attributes, and every
+    core default of ``sources_cap``, ``num_salts`` and ``threshold`` is
+    written as the constant of its module (read from the source with
+    ``ast``, so a literal equal to it fails too)."""
+    import ast
+    import dataclasses
+    import inspect
+    import textwrap
+
+    import pytest
+
+    from climatemind_ontology_processing_ray.pipelines import api, kg
+    from climatemind_ontology_processing_ray.stages import canonicalize as canon
+    from climatemind_ontology_processing_ray.stages import fused, link
+
+    assert [f.name for f in dataclasses.fields(kg.KGConfig)] == ["checkpoint_dir"]
+    with pytest.raises(TypeError):
+        kg.KGConfig(batch_size=64)
+    cfg = kg.KGConfig()
+    assert (cfg.batch_size, cfg.min_text_chars, cfg.keep_langs) == (None, 0, kg.KEEP_LANGS)
+    assert (cfg.sources_cap, cfg.num_salts, cfg.link_threshold) == (
+        canon.SOURCES_CAP, canon.NUM_SALTS, link.LINK_THRESHOLD,
+    )
+    constants = {
+        "sources_cap": "SOURCES_CAP",
+        "num_salts": "NUM_SALTS",
+        "threshold": "LINK_THRESHOLD",
+    }
+    callables = [
+        canon.partial_triple_agg_arrow,
+        canon.fold_partials,
+        canon.canonicalize_partials,
+        canon.canonicalize_triples,
+        link.EntityLinker.__init__,
+        fused.ExtractLink.__init__,
+        fused.PageToTriplePartials.__init__,
+        fused.make_fused_partials_fn,
+        api.merge_canonical_edges,
+    ]
+    checked = 0
+    for fn in callables:
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        args = node.args.posonlyargs + node.args.args
+        defaults = dict(zip([a.arg for a in args][-len(node.args.defaults):], node.args.defaults))
+        defaults.update(
+            (a.arg, d) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d
+        )
+        for name, default in defaults.items():
+            if name in constants:
+                where = f"{fn.__qualname__}({name}=)"
+                assert isinstance(default, ast.Name), where
+                assert default.id == constants[name], where
+                checked += 1
+    assert checked == 15, checked

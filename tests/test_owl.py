@@ -347,14 +347,19 @@ def test_owl_file_feeds_pipeline(ray_session, tmp_path):
 
 def test_load_snapshot_sniffs_owl_after_a_utf8_bom(tmp_path):
     """An OWL file that starts with a UTF-8 byte-order mark is sniffed as
-    OWL, not JSON, and loads to the plain file's snapshot."""
+    OWL, not JSON, and loads to the plain file's snapshot; a snapshot
+    JSON that starts with one loads to the snapshot it holds."""
     from climatemind_ontology_processing_ray.pipelines.api import _load_snapshot
 
-    xml = write_owl(build_fixture_snapshot())
+    snap = build_fixture_snapshot()
+    xml = write_owl(snap)
     plain, bom = tmp_path / "plain.owl", tmp_path / "bom.owl"
     plain.write_text(xml, encoding="utf-8")
     bom.write_bytes(b"\xef\xbb\xbf" + xml.encode("utf-8"))
     assert _load_snapshot(str(bom)).to_json() == parse_owl(str(plain)).to_json()
+    bom_json = tmp_path / "bom.json"
+    bom_json.write_bytes(b"\xef\xbb\xbf" + snap.to_json().encode("utf-8"))
+    assert _load_snapshot(str(bom_json)).to_json() == snap.to_json()
 
 
 def test_intersection_defined_class_memberships():

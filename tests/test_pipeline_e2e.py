@@ -20,10 +20,10 @@ def pages_and_info(snapshot):
     return generate_pages(snapshot, 300, seed=13)
 
 
-def _run(table, snapshot, num_blocks=4, **cfg_kwargs):
+def _run(table, snapshot, num_blocks=4):
     import ray.data
 
-    cfg = KGConfig(batch_size=64, **cfg_kwargs)
+    cfg = KGConfig()
     pages = ray.data.from_arrow(table).repartition(num_blocks)
     res = run_kg_pipeline(pages, snapshot, cfg)
     rows = res.canonical_edges.take_all()
@@ -220,7 +220,7 @@ def test_artifact_pickles_are_a_function_of_the_edge_set(
     import ray.data
 
     table, _ = pages_and_info
-    edges = pa.Table.from_pylist(_kernel_edges(table, snapshot, KGConfig(batch_size=64)))
+    edges = pa.Table.from_pylist(_kernel_edges(table, snapshot, KGConfig()))
     chunks = [edges.slice(i, 7) for i in range(0, edges.num_rows, 7)][::-1]
     reordered = pa.concat_tables(chunks)
     assert reordered.column("subject").num_chunks > 1
@@ -386,7 +386,7 @@ def test_stats_describe_the_executed_front_end(ray_session, snapshot, pages_and_
 
     table, _ = pages_and_info
     pages = ray.data.from_arrow([table.slice(i, 75) for i in range(0, table.num_rows, 75)])
-    res = run_kg_pipeline(pages, snapshot, KGConfig(batch_size=64))
+    res = run_kg_pipeline(pages, snapshot, KGConfig())
     text = res.stats()
     assert re.search(
         r"^Operator \d+ MapBatches\(keep\)->MapBatches\(extract_pages_batch\)->MapBatches\(fn\):",

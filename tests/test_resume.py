@@ -16,7 +16,7 @@ STAGES = ["canonical_edges", "partials"]
 def _run(table, snapshot, ckpt_dir):
     import ray.data
 
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt_dir)
+    cfg = KGConfig(checkpoint_dir=ckpt_dir)
     pages = ray.data.from_arrow(table).repartition(4)
     res = run_kg_pipeline(pages, snapshot, cfg)
     rows = res.canonical_edges.take_all()
@@ -132,7 +132,7 @@ def test_changed_ontology_invalidates_checkpoints(
     ckpt = str(tmp_path_factory.mktemp("ckpt4"))
     _run(table, snapshot, ckpt)
     other = build_fixture_snapshot(extra_chain_nodes=5)  # different ontology
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
+    cfg = KGConfig(checkpoint_dir=ckpt)
     pages = ray.data.from_arrow(table).repartition(4)
     res = run_kg_pipeline(pages, other, cfg)
     res.canonical_edges.take_all()
@@ -176,15 +176,16 @@ def test_digest_tells_a_null_from_the_string_none():
 
 
 def test_output_config_invalidates_checkpoints(
-    ray_session, snapshot, table, tmp_path_factory
+    ray_session, snapshot, table, tmp_path_factory, monkeypatch
 ):
-    """The run key folds in the config fields that change the output: a
-    changed ``link_threshold``, run into the default run's checkpoint dir,
-    does not resume its stages and returns the edges of its own config."""
+    """The run key folds in the recipe values that change the output: a
+    changed ``KGConfig.link_threshold``, run into the default run's
+    checkpoint dir, does not resume its stages and returns the edges of
+    its own recipe."""
     import ray.data
 
-    def run(ckpt, **changes):
-        cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt, **changes)
+    def run(ckpt):
+        cfg = KGConfig(checkpoint_dir=ckpt)
         res = run_kg_pipeline(ray.data.from_arrow(table).repartition(4), snapshot, cfg)
         rows = res.canonical_edges.take_all()
         key = lambda r: (r["subject"], r["object"], r["predicate"])
@@ -192,9 +193,10 @@ def test_output_config_invalidates_checkpoints(
 
     ckpt = str(tmp_path_factory.mktemp("ckpt_cfg"))
     run(ckpt)
-    strict, mgr = run(ckpt, link_threshold=0.95)
+    monkeypatch.setattr(KGConfig, "link_threshold", 0.95)
+    strict, mgr = run(ckpt)
     assert {"partials", "canonical_edges"} <= set(mgr.misses)
-    fresh, _ = run(str(tmp_path_factory.mktemp("ckpt_strict")), link_threshold=0.95)
+    fresh, _ = run(str(tmp_path_factory.mktemp("ckpt_strict")))
     assert strict == fresh
 
 
@@ -208,7 +210,7 @@ def test_file_fingerprint_sees_subsecond_rewrite(ray_session, snapshot, table, t
 
     path = str(tmp_path / "pages.parquet")
     ckpt = str(tmp_path / "ckpt")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
+    cfg = KGConfig(checkpoint_dir=ckpt)
 
     def write(t: pa.Table) -> None:
         pq.write_table(
@@ -251,7 +253,7 @@ def _publish(table, snapshot, out, ckpt, emit_mentions=False):
 
     from climatemind_ontology_processing_ray.pipelines.api import process_pages
 
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
+    cfg = KGConfig(checkpoint_dir=ckpt)
     pages = ray.data.from_arrow(table).repartition(4)
     return process_pages(pages, out, snapshot=snapshot, cfg=cfg, emit_mentions=emit_mentions)
 
@@ -369,7 +371,7 @@ def test_checkpoint_does_not_change_published_bytes(published, snapshot, table, 
 
     out = str(tmp_path / "nockpt")
     pages = ray.data.from_arrow(table).repartition(4)
-    process_pages(pages, out, snapshot=snapshot, cfg=KGConfig(batch_size=64))
+    process_pages(pages, out, snapshot=snapshot, cfg=KGConfig())
     plain = _file_md5s(out)
     assert "canonical_edges/part-0.parquet" in plain and "adjacency/part-0.parquet" in plain
     assert _file_md5s(published["old"]["out"]) == plain
@@ -523,7 +525,7 @@ def test_without_checkpoint_every_run_publishes(ray_session, snapshot, table, tm
     from climatemind_ontology_processing_ray.pipelines.api import process_pages
     from climatemind_ontology_processing_ray.state import publish
 
-    cfg = KGConfig(batch_size=64)
+    cfg = KGConfig()
     out = str(tmp_path)
     manifests = []
     for _ in range(2):
@@ -726,7 +728,7 @@ def test_checkpointed_publish_runs_one_execution(
 
     path = str(tmp_path / "pages.parquet")
     pq.write_table(table, path)
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
+    cfg = KGConfig(checkpoint_dir=str(tmp_path / "ckpt"))
     for runs in (1, 0):
         ray_executions.clear()
         process_pages(ray.data.read_parquet(path), str(tmp_path / "out"), snapshot, cfg)
@@ -863,7 +865,7 @@ def test_resumed_fold_is_bounded(ray_session, snapshot, table, tmp_path, monkeyp
 
     pages = pa.concat_tables([table] * 8)  # many blocks over one key space
     ckpt = str(tmp_path / "ckpt")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=ckpt)
+    cfg = KGConfig(checkpoint_dir=ckpt)
     cold = run_kg_pipeline(ray.data.from_arrow(pages).repartition(16), snapshot, cfg)
     files = cold.checkpoints.manifest("partials")["files"]
     distinct, largest = cold.edges.num_rows, max(f["rows"] for f in files)
@@ -897,13 +899,41 @@ def test_transformed_parquet_read_does_not_reuse_plain_read_checkpoints(
 
     path = str(tmp_path / "pages.parquet")
     pq.write_table(table, path)
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
+    cfg = KGConfig(checkpoint_dir=str(tmp_path / "ckpt"))
     limited = run_kg_pipeline(ray.data.read_parquet(path).limit(50), snapshot, cfg)
     full = run_kg_pipeline(ray.data.read_parquet(path), snapshot, cfg)
     assert full.checkpoints.hits == [] and full.checkpoints.misses == STAGES
-    plain = run_kg_pipeline(ray.data.read_parquet(path), snapshot, KGConfig(batch_size=64))
+    plain = run_kg_pipeline(ray.data.read_parquet(path), snapshot, KGConfig())
     assert full.edges.equals(plain.edges)
     assert limited.edges.num_rows < full.edges.num_rows
+
+
+def test_filtered_parquet_read_does_not_reuse_plain_read_checkpoints(
+    ray_session, snapshot, table, tmp_path
+):
+    """A read with a row filter is not the plain read of the same files:
+    after a checkpointed full read, the filtered read into the same
+    checkpoint dir hits nothing and returns the edges of an uncheckpointed
+    filtered run, not the full corpus's."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(table, path)
+    cut = sorted(table.column("url").to_pylist())[table.num_rows // 2]
+
+    def filtered():
+        return ray.data.read_parquet(path, filter=pc.field("url") < cut)
+
+    cfg = KGConfig(checkpoint_dir=str(tmp_path / "ckpt"))
+    full = run_kg_pipeline(ray.data.read_parquet(path), snapshot, cfg)
+    half = run_kg_pipeline(filtered(), snapshot, cfg)
+    assert half.checkpoints.hits == [] and half.checkpoints.misses == STAGES
+    plain = run_kg_pipeline(filtered(), snapshot, KGConfig())
+    assert half.edges.equals(plain.edges)
+    support = lambda res: pc.sum(res.edges.column("support")).as_py()
+    assert support(half) < support(full)
 
 
 def test_mapped_corpus_fingerprint_runs_no_schema_execution(
@@ -916,7 +946,7 @@ def test_mapped_corpus_fingerprint_runs_no_schema_execution(
     import ray.data
 
     pages = ray.data.from_arrow(table).map_batches(lambda b: b, batch_format="pyarrow")
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"))
+    cfg = KGConfig(checkpoint_dir=str(tmp_path / "ckpt"))
     run_kg_pipeline(pages, snapshot, cfg)
     assert len(ray_executions) == 2, ray_executions
     assert not any("limit=1" in name for run in ray_executions for name in run), ray_executions
@@ -950,7 +980,7 @@ def test_stage_dataset_cold_then_warm(ray_session, tmp_path):
 
 @pytest.mark.parametrize("case", ["no_english_page", "link_threshold_above_1"])
 def test_empty_stages_checkpoint_and_publish(
-    ray_session, snapshot, table, tmp_path, case
+    ray_session, snapshot, table, tmp_path, monkeypatch, case
 ):
     """A run whose stages have no rows (no English page, or a link
     threshold no match reaches) checkpoints them as zero-row stages: the
@@ -965,10 +995,9 @@ def test_empty_stages_checkpoint_and_publish(
     if case == "no_english_page":
         table = table.filter(pc.not_equal(table.column("lang"), "en"))
         assert table.num_rows
-        changes = {}
     else:
-        changes = {"link_threshold": 1.01}
-    cfg = KGConfig(batch_size=64, checkpoint_dir=str(tmp_path / "ckpt"), **changes)
+        monkeypatch.setattr(KGConfig, "link_threshold", 1.01)
+    cfg = KGConfig(checkpoint_dir=str(tmp_path / "ckpt"))
     out = str(tmp_path / "out")
 
     def pages():

@@ -126,10 +126,10 @@ def test_cold_front_end_is_one_operator(ray_session, snapshot, tmp_path):
     """A read of as many files as the read is sized at (2 x the session's
     8 CPUs) fuses into the front end: with the default ``KGConfig()`` a
     cold run of 3,000 pages in 16 Parquet files is one operator,
-    ``ReadParquet->...``.  Its edge table equals the one from 64-row
-    batches and the one from the same rows in 4 files, whose read splits
-    and stays its own operator: the edges do not depend on the block
-    layout."""
+    ``ReadParquet->...``.  Its edge table equals the one from the same
+    rows in 64-row in-memory blocks and the one from the same rows in 4
+    files, whose read splits and stays its own operator: the edges do not
+    depend on the block layout."""
     import ray.data
 
     from climatemind_ontology_processing_ray.pipelines.kg import KGConfig, run_kg_pipeline
@@ -154,7 +154,8 @@ def test_cold_front_end_is_one_operator(ray_session, snapshot, tmp_path):
     assert len(ops) == 1 and ops[0].startswith("ReadParquet->"), fused.stats()
     assert fused.edges.num_rows > 0
 
-    batched = run_kg_pipeline(ray.data.read_parquet(sixteen), snapshot, KGConfig(batch_size=64))
+    blocks = [table.slice(i, 64) for i in range(0, table.num_rows, 64)]
+    batched = run_kg_pipeline(ray.data.from_arrow(blocks), snapshot, KGConfig())
     split = run_kg_pipeline(ray.data.read_parquet(write(4)), snapshot, KGConfig())
     assert len(operators(split)) == 2, split.stats()
     assert fused.edges.equals(batched.edges)

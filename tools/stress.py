@@ -446,7 +446,7 @@ def suite_hashshuffle() -> None:
         signal.alarm(budget)
         try:
             pages = rd.read_parquet(pages_path, override_num_blocks=n_blocks)
-            n = run_kg_pipeline(pages, snap, KGConfig(batch_size=4096)).canonical_edges.count()
+            n = run_kg_pipeline(pages, snap, KGConfig()).canonical_edges.count()
             print(f"{strategy} @{n_pages}: {time.time() - t0:.1f}s ({n} edges)")
         except TimeoutError:
             print(f"{strategy} @{n_pages}: TIMEOUT after {budget}s")
