@@ -17,6 +17,7 @@ Neither calls ray.init(); the session belongs to the caller.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from ray.data import Dataset
+from ray.data.datasource import FilenameProvider
 
 from ..graph.enrich import GraphArtifacts
 from ..graph.writers import write_all_artifacts
@@ -33,13 +35,7 @@ from ..ontology.fixture import build_fixture_snapshot
 from ..ontology.schema import OntologySnapshot
 from ..stages.adjacency import adjacency_table
 from ..stages.canonicalize import SOURCES_CAP, as_dataset
-from .kg import (
-    KGConfig,
-    _digest_block,
-    canonical_edges_to_artifacts,
-    extract_pages,
-    run_kg_pipeline,
-)
+from .kg import KGConfig, canonical_edges_to_artifacts, extract_pages, run_kg_pipeline
 
 
 def _load_snapshot(snapshot: OntologySnapshot | str | None) -> OntologySnapshot:
@@ -131,19 +127,20 @@ _OUTPUTS = (
 )
 
 
-def _publish_key(edges_key: str, edges: pa.Table, emit_mentions: bool) -> str:
+def _publish_key(edges_key: str, edges_digest: str, emit_mentions: bool) -> str:
     """What the published outputs depend on: the ``canonical_edges``
     checkpoint's run key (which folds in the corpus, ontology and config
-    fingerprints that ``mentions`` also depends on), a digest of every cell
-    of the edge table, ``emit_mentions`` and the package version.  The
-    digest reads the edges, not the checkpoint's part files: it is blind
-    to row order and to how rows fall into parts, so a checkpoint dir
-    cleared and recomputed to the same edges keeps the key."""
+    fingerprints that ``mentions`` also depends on), the digest of every
+    cell of the edge table that its manifest records (``_digest_block``,
+    computed once, when the stage was written), ``emit_mentions`` and the
+    package version.  The digest is blind to row order and to how rows
+    fall into parts, so a checkpoint dir cleared and recomputed to the
+    same edges keeps the key."""
     from .. import __version__
 
     payload = {
         "edges_key": edges_key,
-        "edges_digest": _digest_block(edges).column("digest")[0].as_py(),
+        "edges_digest": edges_digest,
         "emit_mentions": emit_mentions,
         "version": __version__,
     }
@@ -155,6 +152,35 @@ def _write_table(table: pa.Table, out_dir: str) -> str:
     os.makedirs(out_dir)
     pq.write_table(table, os.path.join(out_dir, "part-0.parquet"))
     return out_dir
+
+
+class _PartNames(FilenameProvider):
+    """Part names from the write task and block alone, no per-write uuid:
+    two writes of the same blocks give the same names."""
+
+    def get_filename_for_block(self, block, write_uuid, task_index, block_index):
+        return f"part-{task_index:06}-{block_index:06}.parquet"
+
+
+_ART_FIELDS = tuple(f.name for f in dataclasses.fields(GraphArtifacts))
+
+
+class _LazyArtifacts(GraphArtifacts):
+    """``GraphArtifacts`` that ``build()`` makes on the first field read."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __getattr__(self, name):
+        build = self.__dict__.get("_build")
+        if build is None or name not in _ART_FIELDS:
+            raise AttributeError(name)
+        self.__dict__.update(vars(build()))
+        del self.__dict__["_build"]
+        return self.__dict__[name]
+
+    def __reduce__(self):
+        return GraphArtifacts, tuple(getattr(self, name) for name in _ART_FIELDS)
 
 
 def process_pages(
@@ -183,19 +209,26 @@ def process_pages(
     at the top of ``output_dir`` is a relative symlink through
     ``<output_dir>/_current``, and one ``os.replace`` of ``_current``
     makes the new set live.  ``_PUBLISH.json`` (itself such a link) holds
-    the publish key (the ``canonical_edges`` checkpoint's run key, a digest
-    of the edge table's cells, ``emit_mentions`` and the package version),
-    the returned ``paths`` relative to ``output_dir``, and each file's
-    size and md5.  The returned paths are the ``<output_dir>/<name>``
-    links, so every read goes through the live set.
+    the publish key (``_publish_key``: the ``canonical_edges`` checkpoint's
+    run key and the cell digest its manifest records, ``emit_mentions``
+    and the package version), the returned ``paths`` relative to
+    ``output_dir``, and each file's size and md5.  The returned paths are
+    the ``<output_dir>/<name>`` links, so every read goes through the live
+    set; ``mentions/`` parts are named by write task and block, so a
+    publish of the same corpus writes the same names.
 
     On start, what a kill left is repaired: sets ``_current`` does not
     name and links that no longer resolve are deleted.  With a checkpoint
     dir, a run whose ``_PUBLISH.json`` has the same key, with every listed
-    file matching its size and md5, writes nothing: it returns ``art`` and
-    the published paths.  That holds also when the checkpoints were
-    cleared and recomputed to the same edges.  Without a checkpoint dir
-    every run publishes.  An output dir needs a filesystem with symlinks."""
+    file matching its size and md5, writes nothing, and on a
+    ``canonical_edges`` hit it reads only manifests and the published
+    files' bytes: no checkpoint part, no cell digest and no graph.  It
+    returns the published paths and an ``art`` built on its first field
+    read, from the verified set's ``canonical_edges/``.  That holds also
+    when the checkpoints were cleared and recomputed to the same edges.
+    Otherwise ``art`` is built before the outputs are written.  Without a
+    checkpoint dir every run publishes.  An output dir needs a filesystem
+    with symlinks."""
     from ..graph.tables import nodes_table
     from ..state import publish
 
@@ -203,15 +236,20 @@ def process_pages(
     os.makedirs(output_dir, exist_ok=True)
     publish.repair(output_dir)
     res = run_kg_pipeline(pages, snap, cfg)
-    edges = res.edges
     ckpt = res.checkpoints.manifest("canonical_edges")
-    key = None if ckpt is None else _publish_key(ckpt["key"], edges, emit_mentions)
-    art = canonical_edges_to_artifacts(edges, snap)
-    if key is not None:
-        manifest = publish.verify(output_dir, key)
-        if manifest is not None:
-            return art, publish.resolve(output_dir, manifest)
+    key = None if ckpt is None else _publish_key(ckpt["key"], ckpt["digest"], emit_mentions)
+    manifest = None if key is None else publish.verify(output_dir, key)
+    if manifest is not None:
+        paths = publish.resolve(output_dir, manifest)
+        # the verified set itself, not the names a later publish relinks
+        edges_dir = os.path.realpath(paths["canonical_edges"])
+        art = _LazyArtifacts(
+            lambda: canonical_edges_to_artifacts(pq.read_table(edges_dir), snap)
+        )
+        return art, paths
 
+    edges = res.edges
+    art = canonical_edges_to_artifacts(edges, snap)
     staging = publish.new_set(output_dir)
     paths = {
         "canonical_edges": _write_table(edges, os.path.join(staging, "canonical_edges")),
@@ -221,6 +259,8 @@ def process_pages(
     paths["nodes"] = _write_table(nodes_table(art), os.path.join(staging, "nodes"))
     if emit_mentions:
         paths["mentions"] = os.path.join(staging, "mentions")
-        extract_mentions(pages, snap).write_parquet(paths["mentions"])
+        extract_mentions(pages, snap).write_parquet(
+            paths["mentions"], filename_provider=_PartNames(), mode="overwrite"
+        )
     publish.seal(staging, key, paths)
     return art, publish.resolve(output_dir, publish.commit(output_dir, staging, _OUTPUTS))

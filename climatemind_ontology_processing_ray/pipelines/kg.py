@@ -35,8 +35,10 @@ checkpoint dir the fold consumes the same stream.  ``run_kg_pipeline``
 runs it at call time and returns the canonical edges as a driver-side
 table (``KGResult.edges``) and as a one-block Dataset
 (``KGResult.canonical_edges``, the reference's step-method surface,
-SURVEY §2.9).  Extracted text is not checkpointed: no resume reads it,
-and a rerun recomputes it from the pages.
+SURVEY §2.9).  On a ``canonical_edges`` hit the call reads only
+manifests: the table is read from the checkpoint when ``edges`` is.
+Extracted text is not checkpointed: no resume reads it, and a rerun
+recomputes it from the pages.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data import Dataset, Schema
+from ray.data import Dataset
 from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
 
 from ..graph.enrich import GraphArtifacts, build_enriched_graph
@@ -60,14 +62,15 @@ from ..stages.canonicalize import (
 )
 from ..stages.fused import make_fused_partials_fn
 from ..stages.link import LINK_THRESHOLD
-from ..state.checkpoint import CheckpointManager
+from ..state.checkpoint import _DIGEST_MOD, CheckpointManager, _digest_block
 from .. import stages as S
 
 
 # the checkpoint format's tag, the first part of every run key: a new tag
 # makes every checkpoint written under an older one miss (v2: parts keep
-# Arrow's ``item`` list naming)
-RUN_KEY = "v2"
+# Arrow's ``item`` list naming; v3: the ``canonical_edges`` manifest
+# records its table's cell digest)
+RUN_KEY = "v3"
 KEEP_LANGS = ("en",)  # the languages whose pages the engine reads
 
 
@@ -87,9 +90,10 @@ class KGConfig:
 
 @dataclass
 class KGResult:
-    # the canonical edge table, collected on the driver by the fold (or
-    # read from the ``canonical_edges`` checkpoint)
-    edges: pa.Table
+    # the canonical edge table's loader, called once, by ``edges``: it
+    # returns the fold's table, or after a ``canonical_edges`` hit reads
+    # that checkpoint's part files, which nothing opens before
+    read_edges: Callable[[], pa.Table]
     checkpoints: CheckpointManager
     snapshot: OntologySnapshot
     config: KGConfig = field(default_factory=KGConfig)
@@ -98,6 +102,12 @@ class KGResult:
     # (rows in, rows out, seconds) of the driver fold; None when
     # ``canonical_edges`` was a hit
     fold: tuple[int, int, float] | None = None
+
+    @functools.cached_property
+    def edges(self) -> pa.Table:
+        """The canonical edge table, collected on the driver by the fold
+        (or read from the ``canonical_edges`` checkpoint on first access)."""
+        return edge_table(self.read_edges())
 
     @functools.cached_property
     def canonical_edges(self) -> Dataset:
@@ -163,39 +173,6 @@ def extract_pages(pages: Dataset) -> Dataset:
     )
 
 
-_DIGEST_MOD = 1 << 128
-# a length prefix no cell can have: a null hashes apart from every value
-_NULL_CELL = b"\xff" * 8
-
-
-def _digest_block(batch: pa.Table) -> pa.Table:
-    """One row: the block's row count, its schema and the sum mod 2**128 of
-    each row's 128-bit blake2b over its length-prefixed cells (a null cell
-    is a prefix alone, ``_NULL_CELL``).  A sum is blind to row order and
-    to how rows fall into blocks."""
-    total = 0
-    for row in zip(*(c.to_pylist() for c in batch.columns)):
-        h = hashlib.blake2b(digest_size=16)
-        for v in row:
-            if v is None:
-                h.update(_NULL_CELL)
-                continue
-            if isinstance(v, str):
-                v = v.encode()
-            elif not isinstance(v, bytes):
-                v = repr(v).encode()
-            h.update(len(v).to_bytes(8, "little"))
-            h.update(v)
-        total += int.from_bytes(h.digest(), "little")
-    return pa.table(
-        {
-            "rows": [batch.num_rows],
-            "digest": [str(total % _DIGEST_MOD)],
-            "schema": [str(Schema(batch.schema))],
-        }
-    )
-
-
 def corpus_fingerprint(pages: Dataset) -> str:
     """The corpus part of the run key.  A plan that is a plain Parquet
     read alone (no row filter, column selection, schema, path column or
@@ -234,7 +211,8 @@ def run_kg_pipeline(
     """Run the pipeline at call time: the front end is one Ray Data
     execution (none when the checkpoints hit), and the driver fold turns
     its partials into the canonical edge table, returned as
-    ``KGResult.edges``."""
+    ``KGResult.edges`` (on a ``canonical_edges`` hit, read from the
+    checkpoint when it is first read)."""
     cfg = cfg or KGConfig()
     # the snapshot is ~100 KB JSON: shipped inline in the task fn's closure
     # (self-contained; for genuinely large snapshots switch to ray.put)
@@ -257,18 +235,25 @@ def run_kg_pipeline(
         fp = "nockpt"
     ckpt = CheckpointManager(cfg.checkpoint_dir, f"{RUN_KEY}:{fp}")
 
-    # stateless tasks with per-worker cached state: fuses with the
-    # read/extract/filter chain into ONE operator (see fused.py)
-    front_end = extract_pages(pages).map_batches(
-        make_fused_partials_fn(
-            snapshot_json=snapshot_json,
-            threshold=cfg.link_threshold,
-            num_salts=cfg.num_salts,
-            sources_cap=cfg.sources_cap,
-        ),
-        batch_format="pyarrow",
-    )
-    fold = None
+    front_end = fold = None
+
+    def run_front_end():
+        """The front end's blocks, as it runs; its plan is built only
+        here, when ``partials`` misses (building a Dataset is a round trip
+        to Ray's stats actor)."""
+        nonlocal front_end
+        # stateless tasks with per-worker cached state: fuses with the
+        # read/extract/filter chain into ONE operator (see fused.py)
+        front_end = extract_pages(pages).map_batches(
+            make_fused_partials_fn(
+                snapshot_json=snapshot_json,
+                threshold=cfg.link_threshold,
+                num_salts=cfg.num_salts,
+                sources_cap=cfg.sources_cap,
+            ),
+            batch_format="pyarrow",
+        )
+        return front_end.iter_batches(batch_format="pyarrow", batch_size=None)
 
     def fold_partials_stage() -> pa.Table:
         """``fold_partials`` over the ``partials`` stage's blocks (the
@@ -280,10 +265,7 @@ def run_kg_pipeline(
 
         def counted():
             nonlocal rows_in, waited
-            it = ckpt.stream(
-                "partials",
-                lambda: front_end.iter_batches(batch_format="pyarrow", batch_size=None),
-            )
+            it = ckpt.stream("partials", run_front_end)
             while True:
                 t0 = time.perf_counter()
                 block = next(it, None)
@@ -298,14 +280,15 @@ def run_kg_pipeline(
         fold = (rows_in, table.num_rows, time.perf_counter() - t0 - waited)
         return table
 
-    # a ``canonical_edges`` hit never opens ``partials``
-    edges = edge_table(ckpt.stage_table("canonical_edges", fold_partials_stage))
+    # a ``canonical_edges`` hit never opens ``partials``, and reads its own
+    # part files only when ``edges`` is read
+    read_edges = ckpt.stage_table("canonical_edges", fold_partials_stage)
     return KGResult(
-        edges=edges,
+        read_edges=read_edges,
         checkpoints=ckpt,
         snapshot=snap,
         config=cfg,
-        front_end=front_end if "partials" in ckpt.misses else None,
+        front_end=front_end,
         fold=fold,
     )
 

@@ -16,6 +16,10 @@ file.  Layout per stage::
     <root>/<stage>/part-*.parquet        (written to <stage>.tmp, then renamed)
     <root>/<stage>/_MANIFEST.json        {stage, key, rows, files:[{path, rows, md5}], ...}
 
+The ``canonical_edges`` manifest also records ``digest``, the cell digest
+of the stage's table (``_digest_block``), computed once, as the stage is
+written by :meth:`CheckpointManager.stage_table`.
+
 A stage without rows has no part files and a manifest with ``rows: 0``
 and ``files: []``.  Parts keep Arrow's list naming (a list's item field is
 ``item``, not Parquet's ``element``), so a part reads back as the type it
@@ -32,18 +36,21 @@ re-runs cleanly.
 The run key (``pipelines/kg.py``) is a format tag, ``RUN_KEY``, and a
 fingerprint of the corpus, the ontology and the output config.  The last
 stage, publish (``pipelines/api.py:process_pages``), is keyed on the
-``canonical_edges`` manifest's run key, a digest of the edge table's cells,
-``emit_mentions`` and the package version.  It builds every output from
-the driver-side table that ``stage_table("canonical_edges", ...)``
-returned (pyarrow, no Ray job).  Its outputs are written as one set under
-``<output_dir>/_sets/<id>/``, sealed by the set's ``_PUBLISH.json`` and made
-live by one rename of the ``<output_dir>/_current`` link, through which
-every output name links (``state/publish.py``); a run whose published
-manifest has the same key and verifies file by file writes nothing.
+``canonical_edges`` manifest: its run key and its recorded ``digest``,
+plus ``emit_mentions`` and the package version.  A hit of
+``stage_table`` reads no part file until its table is asked for, so a
+run whose published manifest has the same key and verifies file by file
+reads only manifests and writes nothing.  Otherwise publish builds every
+output from the stage's driver-side table (pyarrow, no Ray job), writes
+them as one set under ``<output_dir>/_sets/<id>/``, sealed by the set's
+``_PUBLISH.json``, and makes it live by one rename of the
+``<output_dir>/_current`` link, through which every output name links
+(``state/publish.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -53,8 +60,41 @@ from typing import Callable, Iterable, Iterator
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+from ray.data import Schema
 
 from .publish import file_md5
+
+_DIGEST_MOD = 1 << 128
+# a length prefix no cell can have: a null hashes apart from every value
+_NULL_CELL = b"\xff" * 8
+
+
+def _digest_block(batch: pa.Table) -> pa.Table:
+    """One row: the block's row count, its schema and the sum mod 2**128 of
+    each row's 128-bit blake2b over its length-prefixed cells (a null cell
+    is a prefix alone, ``_NULL_CELL``).  A sum is blind to row order and
+    to how rows fall into blocks."""
+    total = 0
+    for row in zip(*(c.to_pylist() for c in batch.columns)):
+        h = hashlib.blake2b(digest_size=16)
+        for v in row:
+            if v is None:
+                h.update(_NULL_CELL)
+                continue
+            if isinstance(v, str):
+                v = v.encode()
+            elif not isinstance(v, bytes):
+                v = repr(v).encode()
+            h.update(len(v).to_bytes(8, "little"))
+            h.update(v)
+        total += int.from_bytes(h.digest(), "little")
+    return pa.table(
+        {
+            "rows": [batch.num_rows],
+            "digest": [str(total % _DIGEST_MOD)],
+            "schema": [str(Schema(batch.schema))],
+        }
+    )
 
 
 class CheckpointManager:
@@ -94,6 +134,21 @@ class CheckpointManager:
         non-empty block as one part file into the tmp dir; once they are
         exhausted the manifest records the files and the tmp dir is renamed
         into place.  With no checkpoint root it is ``blocks()``."""
+        return self._stream(stage, blocks, digest=False)
+
+    def _read(self, stage: str, manifest: dict) -> Iterator[pa.Table]:
+        """The row groups of the stage's files, in manifest order."""
+        for f in manifest["files"]:
+            with pq.ParquetFile(os.path.join(self._paths(stage)[0], f["path"])) as part:
+                for i in range(part.num_row_groups):
+                    yield part.read_row_group(i)
+
+    def _stream(
+        self, stage: str, blocks: Callable[[], Iterable[pa.Table]], digest: bool
+    ) -> Iterator[pa.Table]:
+        """:meth:`stream`; with ``digest``, a miss also records the sum of
+        its blocks' ``_digest_block`` digests, the digest of their
+        concatenation, as the manifest's ``digest``."""
         if not self.root:
             self.misses.append(stage)
             yield from blocks()
@@ -102,10 +157,7 @@ class CheckpointManager:
         manifest = self._hit(stage)
         if manifest:
             self.hits.append(stage)
-            for f in manifest["files"]:
-                with pq.ParquetFile(os.path.join(stage_dir, f["path"])) as part:
-                    for i in range(part.num_row_groups):
-                        yield part.read_row_group(i)
+            yield from self._read(stage, manifest)
             return
         self.misses.append(stage)
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -113,12 +165,15 @@ class CheckpointManager:
         os.makedirs(tmp_dir)
         t0 = time.perf_counter()
         files = []  # per-partition lineage record
+        cells = 0
         for block in blocks():
             if block.num_rows:
                 name = f"part-{len(files):05d}.parquet"
                 path = os.path.join(tmp_dir, name)
                 pq.write_table(block, path, use_compliant_nested_type=False)
                 files.append({"path": name, "rows": block.num_rows, "md5": file_md5(path)})
+                if digest:
+                    cells += int(_digest_block(block).column("digest")[0].as_py())
             yield block
         elapsed = time.perf_counter() - t0
         total = sum(f["rows"] for f in files)
@@ -131,6 +186,8 @@ class CheckpointManager:
             "rows_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
             "files": files,
         }
+        if digest:
+            manifest["digest"] = str(cells % _DIGEST_MOD)
         with open(os.path.join(tmp_dir, "_MANIFEST.json"), "w") as f:
             json.dump(manifest, f, indent=1)
         os.rename(tmp_dir, stage_dir)  # atomic finalize
@@ -155,11 +212,26 @@ class CheckpointManager:
             return ray.data.from_items([])
         return ray.data.read_parquet(self._paths(stage)[0])
 
-    def stage_table(self, stage: str, compute: Callable[[], pa.Table]) -> pa.Table:
-        """:meth:`stream` of the one table ``compute()`` returns, as one
-        table (a hit on a stage without rows: no rows and no columns)."""
-        tables = list(self.stream(stage, lambda: [compute()]))
-        return pa.concat_tables(tables) if tables else pa.table({})
+    def stage_table(
+        self, stage: str, compute: Callable[[], pa.Table]
+    ) -> Callable[[], pa.Table]:
+        """The one table ``compute()`` returns, checkpointed, behind a
+        loader.  A miss runs ``compute()`` now and writes its table through
+        :meth:`stream`'s writer, with the table's cell digest in the
+        manifest (``digest``); the loader returns the table.  A hit is
+        recorded now and reads nothing: the loader reads the stage's files
+        (a stage without rows: no rows and no columns)."""
+        manifest = self._hit(stage)
+        if not manifest:
+            (table,) = self._stream(stage, lambda: [compute()], digest=True)
+            return lambda: table
+        self.hits.append(stage)
+
+        def load() -> pa.Table:
+            tables = list(self._read(stage, manifest))
+            return pa.concat_tables(tables) if tables else pa.table({})
+
+        return load
 
     def lineage(self) -> "list[dict]":
         """Flat per-partition lineage/metrics table across all completed

@@ -176,7 +176,9 @@ def test_cli_process_end_to_end(tmp_path):
 def test_cli_uses_a_running_session_and_its_ontology(ray_session, snapshot, tmp_path, capsys):
     """Run in-process with a session already up, the CLI leaves it up;
     ``edges --ontology`` writes the CSV ``output_edges`` gives on that
-    snapshot, and ``process`` prints one JSON summary line."""
+    snapshot, and ``process`` prints one JSON summary line.  Run again
+    into the same dirs, ``process`` rewrites no file and prints the same
+    node and edge counts, read from the graph it builds on demand."""
     import copy
 
     import pyarrow.parquet as pq
@@ -199,12 +201,28 @@ def test_cli_uses_a_running_session_and_its_ontology(ray_session, snapshot, tmp_
     assert got and not any("sea level rise" in (s, o) for s, o, _ in got)
 
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
-    capsys.readouterr()
-    assert main(["process", "--pages", pages, "--out", out, "--checkpoint-dir", ckpt]) == 0
-    assert ray.is_initialized()
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def process():
+        capsys.readouterr()
+        assert main(["process", "--pages", pages, "--out", out, "--checkpoint-dir", ckpt]) == 0
+        assert ray.is_initialized()
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    def identity():
+        return {
+            os.path.join(d, name): (st.st_ino, st.st_mtime_ns)
+            for d, _, names in os.walk(out)
+            for name in names
+            for st in [os.stat(os.path.join(d, name))]
+        }
+
+    summary = process()
     assert summary["lineage_records"] > 0
     assert summary["outputs"]["edges_csv"] == os.path.join(out, "output.csv")
+    assert summary["n_nodes"] > 0 and summary["n_edges"] > 0
+    before = identity()
+    assert process() == summary
+    assert identity() == before
 
 
 def test_cli_attaches_to_ray_address(monkeypatch):

@@ -397,6 +397,87 @@ def test_warm_publish_is_skipped(published, snapshot, table, monkeypatch):
     assert nx.utils.graphs_equal(art.G, published["old"]["art"].G)
 
 
+def test_warm_hit_reads_only_manifests(ray_session, snapshot, table, tmp_path, monkeypatch):
+    """A warm run whose ``canonical_edges`` checkpoint hits and whose
+    publish verifies digests no cell, opens no checkpoint part file and
+    builds no graph; ``art`` builds the graph once, on its first field
+    read, from the published edges, and pickles to the bytes of the cold
+    run's eagerly built ``art``."""
+    import pickle
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from climatemind_ontology_processing_ray.pipelines import kg
+    from climatemind_ontology_processing_ray.pipelines.api import process_pages
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(table, path)
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    cfg = KGConfig(checkpoint_dir=ckpt)
+    cold, _ = process_pages(ray.data.read_parquet(path), out, snapshot, cfg)
+
+    digests, opened, builds = [], [], []
+
+    def spy(calls, real):
+        def call(*a, **k):
+            calls.append(a[0] if isinstance(a[0], str) else None)
+            return real(*a, **k)
+
+        return call
+
+    monkeypatch.setattr(checkpoint, "_digest_block", spy(digests, checkpoint._digest_block))
+    monkeypatch.setattr(kg, "_digest_block", spy(digests, kg._digest_block))
+    monkeypatch.setattr(pq, "ParquetFile", spy(opened, pq.ParquetFile))
+    monkeypatch.setattr(pq, "read_table", spy(opened, pq.read_table))
+    monkeypatch.setattr(kg, "build_enriched_graph", spy(builds, kg.build_enriched_graph))
+    managers = _managers(monkeypatch)
+    before = _identity(out)
+
+    art, paths = process_pages(ray.data.read_parquet(path), out, snapshot, cfg)
+    assert (managers[-1].hits, managers[-1].misses) == (["canonical_edges"], [])
+    assert digests == [] and builds == []
+    assert not [p for p in opened if p is None or p.startswith(ckpt)], opened
+    assert _identity(out) == before
+
+    assert pickle.dumps(art.G) == pickle.dumps(cold.G)
+    assert pickle.dumps(art.subgraphs) == pickle.dumps(cold.subgraphs)
+    assert len(builds) == 1 and digests == []
+    assert not [p for p in opened if p is None or p.startswith(ckpt)], opened
+    assert os.path.realpath(os.path.join(out, "canonical_edges")) in opened
+    assert art.adaptation_nodes == cold.adaptation_nodes
+    assert pickle.dumps(pickle.loads(pickle.dumps(art)).B) == pickle.dumps(cold.B)
+    assert len(builds) == 1
+
+
+def _edges_digest(path: str) -> str:
+    import pyarrow.parquet as pq
+
+    from climatemind_ontology_processing_ray.state.checkpoint import _digest_block
+
+    return _digest_block(pq.read_table(path)).column("digest")[0].as_py()
+
+
+def test_manifest_records_the_published_edges_digest(
+    ray_session, snapshot, table, tmp_path
+):
+    """The ``canonical_edges`` manifest's ``digest`` is the cell digest of
+    the published edge table after a cold run, a warm run, and a run that
+    recomputed a cleared checkpoint dir."""
+    import shutil
+
+    from climatemind_ontology_processing_ray.state import checkpoint
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    for clear in (False, False, True):
+        if clear:
+            shutil.rmtree(ckpt)
+        _, paths = _publish(table, snapshot, out, ckpt)
+        manifest = checkpoint.CheckpointManager(ckpt).manifest("canonical_edges")
+        assert manifest["digest"] == _edges_digest(paths["canonical_edges"])
+
+
 def test_cleared_checkpoint_does_not_republish(
     ray_session, snapshot, table, tmp_path, monkeypatch
 ):
@@ -462,6 +543,65 @@ def test_flipping_emit_mentions_republishes(published, snapshot, table, tmp_path
     _, paths = _publish(table, snapshot, out, published["ckpt"], emit_mentions=False)
     assert "mentions" not in paths and not os.path.exists(os.path.join(out, "mentions"))
     assert _outputs(out) == _outputs(published["old"]["out"])
+
+
+def test_mentions_part_names_are_a_function_of_the_corpus(
+    published, snapshot, table, tmp_path
+):
+    """Two publishes of one corpus with ``emit_mentions`` list the same
+    files in ``_PUBLISH.json``: ``mentions/`` parts are named by write task
+    and block, with no per-write uuid, and have the same md5s."""
+    import json
+
+    from climatemind_ontology_processing_ray.state import publish
+
+    out = str(tmp_path / "out")
+    _publish(table, snapshot, out, published["ckpt"], emit_mentions=True)
+
+    def files(out):
+        with open(os.path.join(out, publish.MANIFEST)) as f:
+            return json.load(f)["files"]
+
+    got = files(out)
+    assert [name for name in got if name.startswith("mentions" + os.sep)]
+    assert got == files(published["new"]["out"])
+
+
+def test_checkpoint_of_the_previous_format_recomputes(
+    ray_session, snapshot, table, tmp_path, monkeypatch
+):
+    """A checkpoint dir written under ``v2``, whose manifests record no
+    cell digest, misses: the next run recomputes both stages and publishes
+    the same files, and the run after it is a warm skip."""
+    import json
+
+    from climatemind_ontology_processing_ray.pipelines import kg
+
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    with monkeypatch.context() as m:
+        m.setattr(kg, "RUN_KEY", "v2")
+        _publish(table, snapshot, out, ckpt)
+    path = os.path.join(ckpt, "canonical_edges", "_MANIFEST.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    del manifest["digest"]
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    old_key, old_md5s = _published_key(out), _file_md5s(out)
+
+    managers = _managers(monkeypatch)
+    _, paths = _publish(table, snapshot, out, ckpt)
+    assert (managers[-1].hits, managers[-1].misses) == ([], STAGES)
+    manifest = managers[-1].manifest("canonical_edges")
+    assert manifest["key"].startswith(f"{kg.RUN_KEY}:") and kg.RUN_KEY != "v2"
+    assert manifest["digest"] == _edges_digest(paths["canonical_edges"])
+    assert _published_key(out) != old_key
+    assert _file_md5s(out) == old_md5s
+
+    before = _identity(out)
+    _publish(table, snapshot, out, ckpt)
+    assert (managers[-1].hits, managers[-1].misses) == (["canonical_edges"], [])
+    assert _identity(out) == before
 
 
 def test_earlier_layout_converts_once(published, snapshot, table, tmp_path):
